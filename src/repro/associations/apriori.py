@@ -9,15 +9,14 @@ small candidate sets).
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
 from typing import Dict, Optional
 
 from ..core.base import check_in_range, check_nonempty
 from ..core.exceptions import ValidationError
-from ..core.itemsets import FrequentItemsets, Itemset, PassStats
+from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
@@ -29,13 +28,10 @@ from ..runtime.transport import SharedRegion, get_object
 from .bitmap import BitmapDatabase
 from .candidates import apriori_gen
 from .hash_tree import HashTree
+from .levelwise import degrade_levelwise, run_levelwise
 
 #: candidate-store strategies accepted by :func:`apriori`
 CANDIDATE_STORES = ("hash_tree", "dict", "bitmap")
-
-#: budget-exhaustion policies accepted by the levelwise miners
-#: (compat alias of :data:`repro.runtime.context.LEVELWISE_POLICIES`)
-ON_EXHAUSTED = LEVELWISE_POLICIES
 
 
 def min_count_from_support(n_transactions: int, min_support: float) -> int:
@@ -173,129 +169,33 @@ def apriori(
     check_nonempty("transaction database", n, "transactions")
     min_count = min_count_from_support(n, min_support)
 
-    budget = ctx.budget
     bitmap = BitmapDatabase(db) if candidate_store == "bitmap" else None
     assets = (
         CountingAssets(db, bitmap) if n_jobs > 1 and len(db) > 1 else None
     )
-    resumed = ctx.resume(lambda: checkpoint_key(
-        "apriori", db, min_support,
-        max_size=max_size, candidate_store=candidate_store,
-    ))
-    if resumed is not None:
-        k = resumed["k"]
-        frequent = resumed["frequent"]
-        all_frequent: Dict[Itemset, int] = resumed["all_frequent"]
-        stats = resumed["stats"]
-    else:
-        stats = []
-        started = time.perf_counter()
-        frequent = frequent_one_itemsets(db, min_count)
-        stats.append(
-            PassStats(
-                k=1,
-                n_candidates=db.n_items,
-                n_frequent=len(frequent),
-                elapsed=time.perf_counter() - started,
-            )
-        )
-        all_frequent = dict(frequent)
-        k = 2
-        ctx.mark(lambda: levelwise_state(k, frequent, all_frequent, stats))
-
     try:
-        while frequent and (max_size is None or k <= max_size):
-            ctx.step(f"pass-{k}", n_frequent_prev=len(frequent))
-            started = time.perf_counter()
-            candidates = apriori_gen(frequent, budget)
-            if not candidates:
-                stats.append(PassStats(k, 0, 0, time.perf_counter() - started))
-                break
-            frequent = count_pass(
+        run = run_levelwise(
+            ctx,
+            n_items=db.n_items,
+            first_pass=lambda: frequent_one_itemsets(db, min_count),
+            generate=lambda frequent, k: apriori_gen(frequent, ctx.budget),
+            count=lambda candidates, k: count_pass(
                 db, candidates, k, min_count, candidate_store,
                 ctx=ctx, n_jobs=n_jobs, bitmap=bitmap, assets=assets,
-            )
-            stats.append(
-                PassStats(
-                    k=k,
-                    n_candidates=len(candidates),
-                    n_frequent=len(frequent),
-                    elapsed=time.perf_counter() - started,
-                )
-            )
-            all_frequent.update(frequent)
-            k += 1
-            ctx.mark(lambda: levelwise_state(k, frequent, all_frequent, stats))
-    except BudgetExceeded as exc:
-        if on_exhausted == "raise":
-            raise
-        return degrade_levelwise(
-            db, min_support, all_frequent, stats, k, exc, on_exhausted
+            ),
+            max_k=max_size,
+            on_exhausted=on_exhausted,
+            key=lambda: checkpoint_key(
+                "apriori", db, min_support,
+                max_size=max_size, candidate_store=candidate_store,
+            ),
         )
     finally:
         if assets is not None:
             assets.close()
-        ctx.flush()
-
-    result = FrequentItemsets(all_frequent, n, min_support)
-    result.pass_stats = stats
-    return result
-
-
-def levelwise_state(k, frequent, all_frequent, stats) -> dict:
-    """Resumable snapshot of a levelwise miner at the start of pass ``k``.
-
-    Shallow copies isolate the snapshot from in-place mutation by the
-    passes that run between this boundary and the next flush; itemset
-    tuples and frozen :class:`PassStats` need no deeper copying.
-    """
-    return {
-        "k": k,
-        "frequent": dict(frequent),
-        "all_frequent": dict(all_frequent),
-        "stats": list(stats),
-    }
-
-
-def degrade_levelwise(
-    db: TransactionDatabase,
-    min_support: float,
-    all_frequent: Dict[Itemset, int],
-    stats: list,
-    k: int,
-    exc: BudgetExceeded,
-    on_exhausted: str,
-) -> FrequentItemsets:
-    """Build the partial result of a budget-interrupted levelwise run.
-
-    Passes ``1 .. k-1`` in ``all_frequent`` are complete; pass ``k`` was
-    interrupted.  Under ``"partition"``/``"sampling"`` the interrupted
-    pass is re-mined with the cheaper two-scan miner bounded at
-    ``max_size=k`` (its own lattice walk is depth-first and far cheaper
-    per level), and the union returned.  Either way the result carries
-    ``truncated=True``: levels beyond ``k`` are unexplored.
-    """
-    n = len(db)
-    if on_exhausted in ("partition", "sampling"):
-        # Local imports: partition/sampling import helpers from this module.
-        if on_exhausted == "partition":
-            from .partition import partition_miner as fallback
-        else:
-            from .sampling import sampling_miner as fallback
-        try:
-            recovered = fallback(db, min_support, max_size=k)
-            all_frequent = {**recovered.supports, **all_frequent}
-        except BudgetExceeded:  # pragma: no cover - fallback has no budget
-            pass
-    result = FrequentItemsets(
-        all_frequent,
-        n,
-        min_support,
-        truncated=True,
-        truncation_reason=f"{type(exc).__name__}: {exc}",
-    )
-    result.pass_stats = stats
-    return result
+    if run.exhausted is not None:
+        return degrade_levelwise(db, min_support, run, on_exhausted)
+    return run.result(FrequentItemsets, run.all_frequent, n, min_support)
 
 
 class CountingAssets:
@@ -514,9 +414,6 @@ __all__ = [
     "count_pass",
     "shard_count_vector",
     "frequent_one_itemsets",
-    "levelwise_state",
     "min_count_from_support",
-    "degrade_levelwise",
     "CANDIDATE_STORES",
-    "ON_EXHAUSTED",
 ]

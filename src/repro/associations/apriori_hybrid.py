@@ -13,16 +13,18 @@ transaction's entry), plus one slot per surviving transaction.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
-from ..core.itemsets import FrequentItemsets, Itemset, PassStats
+from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
+from ..runtime.context import ExecutionContext
 from .apriori import frequent_one_itemsets, min_count_from_support
+from .apriori_tid import TidLists, tid_pass
 from .candidates import apriori_gen
 from .hash_tree import HashTree
+from .levelwise import run_levelwise
 
 
 def apriori_hybrid(
@@ -46,8 +48,9 @@ def apriori_hybrid(
     Notes
     -----
     The result is identical to Apriori/AprioriTid; only performance
-    differs.  ``pass_stats`` records the switch via the boolean attribute
-    ``switched_at`` on the returned object (``None`` if never switched).
+    differs.  The returned object's ``switched_at`` attribute is the
+    pass k whose raw scan built C̄_k — passes after it run
+    AprioriTid-style — or ``None`` if the run never switched.
     """
     if max_size is not None and max_size < 1:
         raise ValidationError(f"max_size must be >= 1, got {max_size}")
@@ -56,56 +59,42 @@ def apriori_hybrid(
     min_count = min_count_from_support(n, min_support)
     if switch_budget is None:
         switch_budget = 4 * sum(len(t) for t in db)
-
-    stats: List[PassStats] = []
-    started = time.perf_counter()
-    frequent = frequent_one_itemsets(db, min_count)
-    stats.append(
-        PassStats(1, db.n_items, len(frequent), time.perf_counter() - started)
-    )
-    all_frequent: Dict[Itemset, int] = dict(frequent)
-
     switched_at: Optional[int] = None
-    tidlists: Optional[List[Tuple[int, frozenset]]] = None
+    tidlists: TidLists = []
 
-    k = 2
-    while frequent and (max_size is None or k <= max_size):
-        started = time.perf_counter()
-        candidates = apriori_gen(frequent)
-        if not candidates:
-            stats.append(PassStats(k, 0, 0, time.perf_counter() - started))
-            break
+    def count(candidates, k):
+        nonlocal switched_at, tidlists
+        if switched_at is not None:
+            frequent, tidlists = tid_pass(tidlists, candidates, k, min_count)
+            return frequent
+        # Apriori-style pass over the raw database.
+        tree = HashTree(candidates)
+        tree.count_transactions(db)
+        counts = tree.counts()
+        frequent = {c: cnt for c, cnt in counts.items() if cnt >= min_count}
+        if sum(counts.values()) + n <= switch_budget:
+            # Build C̄_k from this pass's surviving candidates so the
+            # next pass can run AprioriTid-style.
+            switched_at = k
+            tidlists = _build_tidlists(db, frequent)
+        return frequent
 
-        if switched_at is None:
-            # Apriori-style pass over the raw database.
-            tree = HashTree(candidates)
-            tree.count_transactions(db)
-            counts = tree.counts()
-            frequent = {c: cnt for c, cnt in counts.items() if cnt >= min_count}
-            estimated = sum(counts.values()) + n
-            if estimated <= switch_budget:
-                # Build C̄_k from this pass's surviving candidates so the
-                # next pass can run AprioriTid-style.
-                switched_at = k
-                tidlists = _build_tidlists(db, frequent)
-        else:
-            frequent, tidlists = _tid_pass(tidlists, candidates, min_count)
-
-        stats.append(
-            PassStats(k, len(candidates), len(frequent), time.perf_counter() - started)
-        )
-        all_frequent.update(frequent)
-        k += 1
-
-    result = FrequentItemsets(all_frequent, n, min_support)
-    result.pass_stats = stats
+    run = run_levelwise(
+        ExecutionContext(),
+        n_items=db.n_items,
+        first_pass=lambda: frequent_one_itemsets(db, min_count),
+        generate=lambda frequent, k: apriori_gen(frequent),
+        count=count,
+        max_k=max_size,
+    )
+    result = run.result(FrequentItemsets, run.all_frequent, n, min_support)
     result.switched_at = switched_at
     return result
 
 
 def _build_tidlists(
     db: TransactionDatabase, frequent: Dict[Itemset, int]
-) -> List[Tuple[int, frozenset]]:
+) -> TidLists:
     """Materialise C̄_k for the frequent k-itemsets by one raw scan."""
     if not frequent:
         return []
@@ -140,34 +129,6 @@ class _MembershipIndex:
             ]
         txn_set = set(txn)
         return [c for c in self._candidates if txn_set.issuperset(c)]
-
-
-def _tid_pass(tidlists, candidates, min_count):
-    """One AprioriTid pass given C̄_{k-1}; returns (frequent, C̄_k)."""
-    by_gen1: Dict[Itemset, List[Tuple[Itemset, Itemset]]] = {}
-    for cand in candidates:
-        by_gen1.setdefault(cand[:-1], []).append(
-            (cand, cand[:-2] + cand[-1:])
-        )
-    counts: Dict[Itemset, int] = dict.fromkeys(candidates, 0)
-    next_tidlists: List[Tuple[int, frozenset]] = []
-    for tid, present in tidlists:
-        supported = []
-        for gen1 in present:
-            for cand, gen2 in by_gen1.get(gen1, ()):
-                if gen2 in present:
-                    counts[cand] += 1
-                    supported.append(cand)
-        if supported:
-            next_tidlists.append((tid, frozenset(supported)))
-    frequent = {c: cnt for c, cnt in counts.items() if cnt >= min_count}
-    frequent_set = set(frequent)
-    pruned = []
-    for tid, supported in next_tidlists:
-        kept = supported & frequent_set
-        if kept:
-            pruned.append((tid, kept))
-    return frequent, pruned
 
 
 __all__ = ["apriori_hybrid"]

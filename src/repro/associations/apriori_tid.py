@@ -13,14 +13,13 @@ weak spot (which motivates AprioriHybrid).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
-from ..core.itemsets import FrequentItemsets, Itemset, PassStats
+from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
@@ -29,12 +28,14 @@ from ..runtime.context import (
 )
 from .apriori import (
     checkpoint_key,
-    degrade_levelwise,
     frequent_one_itemsets,
-    levelwise_state,
     min_count_from_support,
 )
 from .candidates import apriori_gen
+from .levelwise import degrade_levelwise, run_levelwise
+
+#: C̄_k: per surviving transaction, (tid, frozenset of its k-candidates)
+TidLists = List[Tuple[int, frozenset]]
 
 
 def apriori_tid(
@@ -70,121 +71,94 @@ def apriori_tid(
     n = len(db)
     check_nonempty("transaction database", n, "transactions")
     min_count = min_count_from_support(n, min_support)
+    tidlists: TidLists = []
 
-    resumed = ctx.resume(
-        lambda: checkpoint_key("apriori_tid", db, min_support,
-                               max_size=max_size)
-    )
-    if resumed is not None:
-        frequent = resumed["frequent"]
-        all_frequent: Dict[Itemset, int] = resumed["all_frequent"]
-        stats = resumed["stats"]
-        tidlists: List[Tuple[int, frozenset]] = resumed["tidlists"]
-        start_k = resumed["k"]
-    else:
-        stats = []
-        started = time.perf_counter()
+    def first_pass():
         frequent = frequent_one_itemsets(db, min_count)
-        stats.append(
-            PassStats(1, db.n_items, len(frequent), time.perf_counter() - started)
-        )
-        all_frequent = dict(frequent)
-
         # C̄_1: per transaction, the frozenset of frequent 1-itemsets present.
         frequent_items = {itemset[0] for itemset in frequent}
-        tidlists = []
         for tid, txn in enumerate(db):
             present = frozenset(
                 (item,) for item in txn if item in frequent_items
             )
             if present:
                 tidlists.append((tid, present))
-        start_k = 2
-        ctx.mark(lambda: _tid_state(start_k, frequent, all_frequent, stats,
-                                    tidlists))
+        return frequent
 
-    try:
-        return _mine_levelwise(
-            db, min_support, max_size, min_count, frequent,
-            all_frequent, tidlists, stats, n, start_k, ctx,
+    def count(candidates, k):
+        nonlocal tidlists
+        frequent, tidlists = tid_pass(
+            tidlists, candidates, k, min_count, ctx.budget
         )
-    except BudgetExceeded as exc:
-        if on_exhausted == "raise":
-            raise
-        # all_frequent/stats are mutated in place, so the partial state
-        # survives the exception.
-        k = 2 + sum(1 for s in stats if s.k >= 2)
-        return degrade_levelwise(
-            db, min_support, all_frequent, stats, k, exc, on_exhausted
+        return frequent
+
+    def restore(state):
+        nonlocal tidlists
+        tidlists = state["tidlists"]
+
+    run = run_levelwise(
+        ctx,
+        n_items=db.n_items,
+        first_pass=first_pass,
+        generate=lambda frequent, k: apriori_gen(frequent, ctx.budget),
+        count=count,
+        max_k=max_size,
+        on_exhausted=on_exhausted,
+        key=lambda: checkpoint_key("apriori_tid", db, min_support,
+                                   max_size=max_size),
+        save=lambda k: {"tidlists": list(tidlists)},
+        restore=restore,
+    )
+    if run.exhausted is not None:
+        return degrade_levelwise(db, min_support, run, on_exhausted)
+    return run.result(FrequentItemsets, run.all_frequent, n, min_support)
+
+
+def tid_pass(
+    tidlists: TidLists,
+    candidates: List[Itemset],
+    k: int,
+    min_count: int,
+    budget: Optional[Budget] = None,
+) -> Tuple[Dict[Itemset, int], TidLists]:
+    """One AprioriTid counting pass: C̄_{k-1} → (frequent k-itemsets, C̄_k).
+
+    Each candidate c = prefix + (a, b) was joined from generators
+    g1 = prefix+(a,) — the candidate minus its last item — and
+    g2 = prefix+(b,) — the candidate minus its second-to-last.  A
+    transaction contains c iff it contains both generators, so
+    candidates are indexed by g1 and only the generators actually
+    present in each transformed entry are probed.
+    """
+    by_gen1: Dict[Itemset, List[Tuple[Itemset, Itemset]]] = {}
+    for cand in candidates:
+        by_gen1.setdefault(cand[:-1], []).append(
+            (cand, cand[:-2] + cand[-1:])
         )
-    finally:
-        ctx.flush()
-
-
-def _tid_state(k, frequent, all_frequent, stats, tidlists) -> dict:
-    state = levelwise_state(k, frequent, all_frequent, stats)
-    state["tidlists"] = list(tidlists)
-    return state
-
-
-def _mine_levelwise(
-    db, min_support, max_size, min_count, frequent,
-    all_frequent, tidlists, stats, n, start_k, ctx,
-) -> FrequentItemsets:
-    budget = ctx.budget
-    k = start_k
-    while frequent and (max_size is None or k <= max_size):
-        ctx.step(f"pass-{k}", n_entries=len(tidlists))
-        started = time.perf_counter()
-        candidates = apriori_gen(frequent, budget)
-        if not candidates:
-            stats.append(PassStats(k, 0, 0, time.perf_counter() - started))
-            break
-        # Each candidate c = prefix + (a, b) was joined from generators
-        # g1 = prefix+(a,) — the candidate minus its last item — and
-        # g2 = prefix+(b,) — the candidate minus its second-to-last.
-        # A transaction contains c iff it contains both generators, so
-        # index candidates by g1 and probe only the generators actually
-        # present in each transformed entry.
-        by_gen1: Dict[Itemset, List[Tuple[Itemset, Itemset]]] = {}
-        for cand in candidates:
-            gen1 = cand[:-1]
-            gen2 = cand[:-2] + cand[-1:]
-            by_gen1.setdefault(gen1, []).append((cand, gen2))
-        counts: Dict[Itemset, int] = dict.fromkeys(candidates, 0)
-        next_tidlists: List[Tuple[int, frozenset]] = []
-        for i, (tid, present) in enumerate(tidlists):
-            if budget is not None and i % 256 == 0:
-                budget.check(phase=f"tid-count-{k}")
-            supported = []
-            for gen1 in present:
-                for cand, gen2 in by_gen1.get(gen1, ()):
-                    if gen2 in present:
-                        counts[cand] += 1
-                        supported.append(cand)
-            if supported:
-                next_tidlists.append((tid, frozenset(supported)))
-        frequent = {c: cnt for c, cnt in counts.items() if cnt >= min_count}
-        stats.append(
-            PassStats(k, len(candidates), len(frequent), time.perf_counter() - started)
-        )
-        all_frequent.update(frequent)
-        # Keep only candidates that turned out frequent in C̄_k: supersets
-        # of infrequent candidates can never be generated, so dropping the
-        # infrequent ones is safe and shrinks the lists.
-        frequent_set = set(frequent)
-        tidlists = []
-        for tid, supported in next_tidlists:
-            kept = supported & frequent_set
-            if kept:
-                tidlists.append((tid, kept))
-        k += 1
-        ctx.mark(lambda: _tid_state(k, frequent, all_frequent, stats,
-                                    tidlists))
-
-    result = FrequentItemsets(all_frequent, n, min_support)
-    result.pass_stats = stats
-    return result
+    counts: Dict[Itemset, int] = dict.fromkeys(candidates, 0)
+    next_tidlists: TidLists = []
+    for i, (tid, present) in enumerate(tidlists):
+        if budget is not None and i % 256 == 0:
+            budget.check(phase=f"tid-count-{k}")
+        supported = []
+        for gen1 in present:
+            for cand, gen2 in by_gen1.get(gen1, ()):
+                if gen2 in present:
+                    counts[cand] += 1
+                    supported.append(cand)
+        if supported:
+            next_tidlists.append((tid, frozenset(supported)))
+    frequent = {c: cnt for c, cnt in counts.items() if cnt >= min_count}
+    # Keep only candidates that turned out frequent in C̄_k: supersets
+    # of infrequent candidates can never be generated, so dropping the
+    # infrequent ones is safe and shrinks the lists.
+    frequent_set = set(frequent)
+    pruned: TidLists = []
+    for tid, supported in next_tidlists:
+        kept = supported & frequent_set
+        if kept:
+            pruned.append((tid, kept))
+    return frequent, pruned
 
 
 __all__ = ["apriori_tid"]

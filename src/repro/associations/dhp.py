@@ -10,15 +10,14 @@ lossless; later passes fall back to standard apriori-gen.
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.base import check_in_range, check_nonempty
 from ..core.exceptions import ValidationError
-from ..core.itemsets import FrequentItemsets, Itemset, PassStats
+from ..core.itemsets import FrequentItemsets
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
@@ -31,12 +30,11 @@ from .apriori import (
     CountingAssets,
     checkpoint_key,
     count_pass,
-    degrade_levelwise,
-    levelwise_state,
     min_count_from_support,
 )
 from .bitmap import BitmapDatabase
 from .candidates import apriori_gen
+from .levelwise import degrade_levelwise, run_levelwise
 
 
 def dhp(
@@ -106,54 +104,13 @@ def dhp(
     n = len(db)
     check_nonempty("transaction database", n, "transactions")
     min_count = min_count_from_support(n, min_support)
-    stats = []
-    all_frequent: Dict[Itemset, int] = {}
-
-    resumed = ctx.resume(lambda: checkpoint_key(
-        "dhp", db, min_support, max_size=max_size, n_buckets=n_buckets
-    ))
-    if resumed is not None:
-        stats.extend(resumed["stats"])
-        all_frequent.update(resumed["all_frequent"])
-
-    bitmap = BitmapDatabase(db) if candidate_store == "bitmap" else None
-    assets = (
-        CountingAssets(db, bitmap) if n_jobs > 1 and n > 1 else None
-    )
-    try:
-        return _dhp_mine(
-            db, min_support, n_buckets, max_size, min_count, stats,
-            all_frequent, n, ctx, resumed, n_jobs, assets,
-            candidate_store, bitmap,
-        )
-    except BudgetExceeded as exc:
-        if on_exhausted == "raise":
-            raise
-        k = 1 + len(stats)
-        result = degrade_levelwise(
-            db, min_support, all_frequent, stats, max(k, 2), exc, on_exhausted
-        )
-        # C2 filter statistics are unknown for an interrupted pass 2.
-        result.c2_unfiltered = 0
-        result.c2_filtered = 0
-        return result
-    finally:
-        if assets is not None:
-            assets.close()
-        ctx.flush()
-
-
-def _dhp_mine(
-    db, min_support, n_buckets, max_size, min_count, stats,
-    all_frequent, n, ctx, resumed=None, n_jobs=1, assets=None,
-    candidate_store="hash_tree", bitmap=None,
-) -> FrequentItemsets:
     budget = ctx.budget
-    # ------------------------------------------------------------------
-    # Pass 1: item counts + the 2-subset hash filter.
-    # ------------------------------------------------------------------
-    if resumed is None:
-        started = time.perf_counter()
+    buckets: Optional[List[int]] = None
+    c2 = (0, 0)  # |C2| before and after the hash filter
+
+    def first_pass():
+        # Item counts + the 2-subset hash filter.
+        nonlocal buckets
         item_counts: Dict[int, int] = {}
         buckets = [0] * n_buckets
         for i, txn in enumerate(db):
@@ -163,103 +120,81 @@ def _dhp_mine(
                 item_counts[item] = item_counts.get(item, 0) + 1
             for a, b in combinations(txn, 2):
                 buckets[_bucket(a, b, n_buckets)] += 1
-        frequent = {
+        return {
             (item,): cnt
             for item, cnt in sorted(item_counts.items())
             if cnt >= min_count
         }
-        stats.append(
-            PassStats(1, db.n_items, len(frequent), time.perf_counter() - started)
+
+    def generate(frequent, k):
+        nonlocal c2
+        if k > 2:
+            return apriori_gen(frequent, budget)
+        # Hash-filtered pair candidates.  Charge the full |F1 choose 2|
+        # estimate before materialising the pair list: the blow-up is
+        # rejected while it is still an arithmetic fact rather than an
+        # allocated list.
+        if budget is not None:
+            m = len(frequent)
+            budget.charge_candidates(m * (m - 1) // 2, phase="pass-2")
+        frequent_items = sorted(item[0] for item in frequent)
+        unfiltered = [
+            (a, b) for i, a in enumerate(frequent_items)
+            for b in frequent_items[i + 1:]
+        ]
+        candidates = [
+            pair for pair in unfiltered
+            if buckets[_bucket(pair[0], pair[1], n_buckets)] >= min_count
+        ]
+        c2 = (len(unfiltered), len(candidates))
+        return candidates
+
+    def save(k):
+        if k == 2:
+            return {"stage": "pass-2", "buckets": list(buckets)}
+        return {"stage": "passes", "c2": c2}
+
+    def restore(state):
+        nonlocal buckets, c2
+        if state["stage"] == "pass-2":
+            buckets = state["buckets"]
+        else:  # later passes never consult the hash filter
+            c2 = state["c2"]
+
+    bitmap = BitmapDatabase(db) if candidate_store == "bitmap" else None
+    assets = (
+        CountingAssets(db, bitmap) if n_jobs > 1 and n > 1 else None
+    )
+    try:
+        run = run_levelwise(
+            ctx,
+            n_items=db.n_items,
+            first_pass=first_pass,
+            generate=generate,
+            count=lambda candidates, k: count_pass(
+                db, candidates, k, min_count, candidate_store,
+                ctx=ctx, n_jobs=n_jobs, bitmap=bitmap, assets=assets,
+            ),
+            max_k=max_size,
+            on_exhausted=on_exhausted,
+            key=lambda: checkpoint_key(
+                "dhp", db, min_support, max_size=max_size,
+                n_buckets=n_buckets,
+            ),
+            save=save,
+            restore=restore,
         )
-        all_frequent.update(frequent)
-
-        def _pass2_state(frequent=frequent, buckets=buckets):
-            state = levelwise_state(2, frequent, all_frequent, stats)
-            state.update(stage="pass-2", buckets=list(buckets))
-            return state
-
-        ctx.mark(_pass2_state)
-    elif resumed["stage"] == "pass-2":
-        frequent = resumed["frequent"]
-        buckets = resumed["buckets"]
-    else:
-        frequent = resumed["frequent"]
-        buckets = None  # later passes never consult the hash filter
-
-    # ------------------------------------------------------------------
-    # Pass 2: hash-filtered pair candidates.
-    # ------------------------------------------------------------------
-    if resumed is not None and resumed["stage"] == "passes":
-        k = resumed["k"]
-        c2_unfiltered, c2_filtered = resumed["c2"]
-    else:
-        if max_size is None or max_size >= 2:
-            if budget is not None:
-                budget.check(phase="pass-2")
-                # Charge the full |F1 choose 2| estimate before materialising
-                # the pair list: the blow-up is rejected while it is still an
-                # arithmetic fact rather than an allocated list.
-                m = len(frequent)
-                budget.charge_candidates(m * (m - 1) // 2, phase="pass-2")
-                budget.progress("pass-2", c2_estimate=m * (m - 1) // 2)
-            started = time.perf_counter()
-            frequent_items = sorted(item[0] for item in frequent)
-            unfiltered = [
-                (a, b) for i, a in enumerate(frequent_items)
-                for b in frequent_items[i + 1:]
-            ]
-            candidates = [
-                pair for pair in unfiltered
-                if buckets[_bucket(pair[0], pair[1], n_buckets)] >= min_count
-            ]
-            c2_unfiltered, c2_filtered = len(unfiltered), len(candidates)
-            frequent = count_pass(db, candidates, 2, min_count,
-                                  candidate_store, ctx=ctx, n_jobs=n_jobs,
-                                  bitmap=bitmap, assets=assets)
-            stats.append(
-                PassStats(2, len(candidates), len(frequent), time.perf_counter() - started)
-            )
-            all_frequent.update(frequent)
-        else:
-            c2_unfiltered = c2_filtered = 0
-            frequent = {}
-        k = 3
-        ctx.mark(lambda: _passes_state(k, frequent, all_frequent, stats,
-                                       c2_unfiltered, c2_filtered))
-
-    # ------------------------------------------------------------------
-    # Passes 3+: standard Apriori.
-    # ------------------------------------------------------------------
-    while frequent and (max_size is None or k <= max_size):
-        ctx.step(f"pass-{k}", n_frequent_prev=len(frequent))
-        started = time.perf_counter()
-        candidates = apriori_gen(frequent, budget)
-        if not candidates:
-            stats.append(PassStats(k, 0, 0, time.perf_counter() - started))
-            break
-        frequent = count_pass(db, candidates, k, min_count,
-                              candidate_store, ctx=ctx, n_jobs=n_jobs,
-                              bitmap=bitmap, assets=assets)
-        stats.append(
-            PassStats(k, len(candidates), len(frequent), time.perf_counter() - started)
-        )
-        all_frequent.update(frequent)
-        k += 1
-        ctx.mark(lambda: _passes_state(k, frequent, all_frequent, stats,
-                                       c2_unfiltered, c2_filtered))
-
-    result = FrequentItemsets(all_frequent, n, min_support)
-    result.pass_stats = stats
-    result.c2_unfiltered = c2_unfiltered
-    result.c2_filtered = c2_filtered
+    finally:
+        if assets is not None:
+            assets.close()
+    if run.exhausted is not None:
+        result = degrade_levelwise(db, min_support, run, on_exhausted)
+        # C2 filter statistics are unknown for an interrupted pass 2.
+        result.c2_unfiltered = result.c2_filtered = 0
+        return result
+    result = run.result(FrequentItemsets, run.all_frequent, n, min_support)
+    result.c2_unfiltered, result.c2_filtered = c2
     return result
-
-
-def _passes_state(k, frequent, all_frequent, stats, c2_unfiltered,
-                  c2_filtered) -> dict:
-    state = levelwise_state(k, frequent, all_frequent, stats)
-    state.update(stage="passes", c2=(c2_unfiltered, c2_filtered))
-    return state
 
 
 def _bucket(a: int, b: int, n_buckets: int) -> int:

@@ -21,7 +21,6 @@ itself a litemset.
 
 from __future__ import annotations
 
-import time
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -29,11 +28,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
 from ..core.itemsets import Itemset
-from ..core.itemsets import PassStats
 from ..core.sequences import SequenceDatabase, SequencePattern
 from ..associations.apriori import min_count_from_support
 from ..associations.candidates import apriori_gen
-from ..runtime import Budget, BudgetExceeded
+from ..associations.levelwise import run_levelwise
+from ..runtime import Budget
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -96,31 +95,59 @@ def apriori_all(
     n = len(db)
     check_nonempty("sequence database", n, "sequences")
     min_count = min_count_from_support(n, min_support)
-    stats: List[PassStats] = []
-    id_to_litemset: Dict[int, Itemset] = {}
-    all_frequent: Dict[LitemsetSeq, int] = {}
+    litemset_ids: Dict[Itemset, int] = {}
+    transformed: Optional[List[List[Set[int]]]] = None
 
-    try:
-        _mine_phases(
-            db, min_count, max_length, budget, stats, id_to_litemset,
-            all_frequent,
+    def first_pass():
+        # Phase 1: litemsets (customer-level frequent itemsets).
+        litemsets = _mine_litemsets(db, min_count, budget)
+        litemset_ids.update(
+            {its: idx for idx, its in enumerate(sorted(litemsets))}
         )
-    except BudgetExceeded as exc:
-        if on_exhausted == "raise":
-            raise
-        result = FrequentSequences(
-            _decode(all_frequent, id_to_litemset),
-            n,
-            min_support,
-            truncated=True,
-            truncation_reason=f"{type(exc).__name__}: {exc}",
-        )
-        result.pass_stats = stats
-        return result
+        return {(litemset_ids[its],): cnt for its, cnt in litemsets.items()}
 
-    result = FrequentSequences(_decode(all_frequent, id_to_litemset), n, min_support)
-    result.pass_stats = stats
-    return result
+    def generate(frequent, k):
+        # Phase 2 runs once, ahead of the first sequence pass.
+        nonlocal transformed
+        if transformed is None:
+            transformed = _transform(db, litemset_ids, budget)
+        candidates = _sequence_candidates(list(frequent))
+        if budget is not None:
+            budget.charge_candidates(len(candidates), phase=f"pass-{k}")
+        return candidates
+
+    def count(candidates, k):
+        # Phase 3: subsequence containment over the litemset-id database.
+        counts = dict.fromkeys(candidates, 0)
+        candidate_ids = [(cand, frozenset(cand)) for cand in candidates]
+        for i, t_seq in enumerate(transformed):
+            if budget is not None and i % 64 == 0:
+                budget.check(phase=f"seq-count-{k}")
+            if len(t_seq) < k:
+                continue
+            # Prefilter on the union of litemset ids in the sequence.
+            present: Set[int] = set()
+            for element in t_seq:
+                present.update(element)
+            for cand, ids in candidate_ids:
+                if ids <= present and _contains_litemset_seq(t_seq, cand):
+                    counts[cand] += 1
+        return {c: cnt for c, cnt in counts.items() if cnt >= min_count}
+
+    run = run_levelwise(
+        ctx,
+        n_items=db.n_items,
+        first_pass=first_pass,
+        generate=generate,
+        count=count,
+        max_k=max_length,
+        on_exhausted=on_exhausted,
+    )
+    id_to_litemset = {idx: its for its, idx in litemset_ids.items()}
+    return run.result(
+        FrequentSequences, _decode(run.all_frequent, id_to_litemset), n,
+        min_support,
+    )
 
 
 def _decode(
@@ -133,40 +160,15 @@ def _decode(
     }
 
 
-def _mine_phases(
+def _transform(
     db: SequenceDatabase,
-    min_count: int,
-    max_length: Optional[int],
+    litemset_ids: Dict[Itemset, int],
     budget: Optional[Budget],
-    stats: List[PassStats],
-    id_to_litemset: Dict[int, Itemset],
-    all_frequent: Dict[LitemsetSeq, int],
-) -> None:
-    """Run phases 1-3, mutating the caller's accumulators in place.
+) -> List[List[Set[int]]]:
+    """Phase 2: each element → the set of litemset ids it contains.
 
-    In-place mutation (rather than return values) keeps the partial
-    state visible to the ``on_exhausted="truncate"`` handler when a
-    budget fires mid-phase.
+    Empty elements and sequences drop out.
     """
-    # ------------------------------------------------------------------
-    # Phase 1: litemsets (customer-level frequent itemsets).
-    # ------------------------------------------------------------------
-    started = time.perf_counter()
-    litemsets = _mine_litemsets(db, min_count, budget)
-    litemset_ids: Dict[Itemset, int] = {
-        its: idx for idx, its in enumerate(sorted(litemsets))
-    }
-    id_to_litemset.update({idx: its for its, idx in litemset_ids.items()})
-    stats.append(
-        PassStats(1, db.n_items, len(litemsets), time.perf_counter() - started)
-    )
-    all_frequent.update(
-        {(litemset_ids[its],): cnt for its, cnt in litemsets.items()}
-    )
-
-    # ------------------------------------------------------------------
-    # Phase 2: transform sequences into litemset-id element sets.
-    # ------------------------------------------------------------------
     transformed: List[List[Set[int]]] = []
     for i, seq in enumerate(db):
         if budget is not None and i % 64 == 0:
@@ -183,45 +185,7 @@ def _mine_phases(
                 t_seq.append(present)
         if t_seq:
             transformed.append(t_seq)
-
-    # ------------------------------------------------------------------
-    # Phase 3: levelwise sequence mining over litemset ids.
-    # ------------------------------------------------------------------
-    frequent: Dict[LitemsetSeq, int] = {
-        (litemset_ids[its],): cnt for its, cnt in litemsets.items()
-    }
-    k = 2
-    while frequent and (max_length is None or k <= max_length):
-        if budget is not None:
-            budget.check(phase=f"seq-pass-{k}")
-            budget.progress(f"seq-pass-{k}", n_frequent_prev=len(frequent))
-        started = time.perf_counter()
-        candidates = _sequence_candidates(list(frequent))
-        if budget is not None:
-            budget.charge_candidates(len(candidates), phase=f"seq-pass-{k}")
-        if not candidates:
-            stats.append(PassStats(k, 0, 0, time.perf_counter() - started))
-            break
-        counts = dict.fromkeys(candidates, 0)
-        candidate_ids = [(cand, frozenset(cand)) for cand in candidates]
-        for i, t_seq in enumerate(transformed):
-            if budget is not None and i % 64 == 0:
-                budget.check(phase=f"seq-count-{k}")
-            if len(t_seq) < k:
-                continue
-            # Prefilter on the union of litemset ids in the sequence.
-            present: Set[int] = set()
-            for element in t_seq:
-                present.update(element)
-            for cand, ids in candidate_ids:
-                if ids <= present and _contains_litemset_seq(t_seq, cand):
-                    counts[cand] += 1
-        frequent = {c: cnt for c, cnt in counts.items() if cnt >= min_count}
-        stats.append(
-            PassStats(k, len(candidates), len(frequent), time.perf_counter() - started)
-        )
-        all_frequent.update(frequent)
-        k += 1
+    return transformed
 
 
 def _mine_litemsets(

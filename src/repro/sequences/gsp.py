@@ -18,20 +18,15 @@ constraints GSP reduces to plain subsequence containment.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.base import check_nonempty
 from ..core.columnar import sequence_bitmap
 from ..core.exceptions import ValidationError
-from ..core.itemsets import PassStats
 from ..core.sequences import SequenceDatabase, SequencePattern, pattern_length
-from ..associations.apriori import (
-    checkpoint_key,
-    levelwise_state,
-    min_count_from_support,
-)
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..associations.apriori import checkpoint_key, min_count_from_support
+from ..associations.levelwise import run_levelwise
+from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -157,39 +152,6 @@ def gsp(
                 )
     min_count = min_count_from_support(n, min_support)
     checker = _ContainsChecker(min_gap, max_gap, window)
-
-    resumed = ctx.resume(lambda: checkpoint_key(
-        "gsp", db, min_support,
-        max_length=max_length, min_gap=min_gap, max_gap=max_gap,
-        window=window,
-    ))
-    if resumed is not None:
-        k = resumed["k"]
-        frequent: Dict[SequencePattern, int] = resumed["frequent"]
-        all_frequent: Dict[SequencePattern, int] = resumed["all_frequent"]
-        stats: List[PassStats] = resumed["stats"]
-    else:
-        stats = []
-        started = _time.perf_counter()
-        item_counts: Dict[int, int] = {}
-        for seq in db:
-            seen: Set[int] = set()
-            for element in seq:
-                seen.update(element)
-            for item in seen:
-                item_counts[item] = item_counts.get(item, 0) + 1
-        frequent = {
-            ((item,),): cnt
-            for item, cnt in sorted(item_counts.items())
-            if cnt >= min_count
-        }
-        stats.append(
-            PassStats(1, db.n_items, len(frequent), _time.perf_counter() - started)
-        )
-        all_frequent = dict(frequent)
-        k = 2
-        ctx.mark(lambda: levelwise_state(k, frequent, all_frequent, stats))
-
     if backend == "bitmap":
         # Build the memoized occurrence bitmaps in the parent before any
         # worker forks so they are inherited copy-on-write.
@@ -201,74 +163,79 @@ def gsp(
     db_handle = (
         region.put_object((db, times)) if region is not None else None
     )
-    try:
-        while frequent and (max_length is None or k <= max_length):
-            ctx.step(f"pass-{k}", n_frequent_prev=len(frequent))
-            started = _time.perf_counter()
-            if k == 2:
-                candidates = _candidates_len2(frequent)
-            else:
-                candidates = _candidates_join(frequent, max_gap is not None)
-            if budget is not None:
-                budget.charge_candidates(len(candidates), phase=f"pass-{k}")
-            if not candidates:
-                stats.append(PassStats(k, 0, 0, _time.perf_counter() - started))
-                break
-            candidate_items = [
-                (cand, frozenset(i for e in cand for i in e))
-                for cand in candidates
-            ]
-            if n_jobs > 1 and n > 1:
-                cands_handle = region.put_object(candidate_items)
-                try:
-                    tasks = [
-                        (db_handle, cands_handle, k, checker, begin, stop,
-                         backend)
-                        for begin, stop in shard_bounds(n, n_jobs)
-                    ]
-                    vectors = shared_pool(n_jobs).map(
-                        _count_shard_task, tasks, ctx=ctx,
-                        phase=f"count-{k}",
-                    )
-                finally:
-                    region.release(cands_handle)
-                totals = [sum(column) for column in zip(*vectors)]
-            else:
-                totals = _count_range(
-                    db, times, candidate_items, k, checker, 0, n, budget,
-                    backend,
+
+    def first_pass():
+        item_counts: Dict[int, int] = {}
+        for seq in db:
+            seen: Set[int] = set()
+            for element in seq:
+                seen.update(element)
+            for item in seen:
+                item_counts[item] = item_counts.get(item, 0) + 1
+        return {
+            ((item,),): cnt
+            for item, cnt in sorted(item_counts.items())
+            if cnt >= min_count
+        }
+
+    def generate(frequent, k):
+        if k == 2:
+            candidates = _candidates_len2(frequent)
+        else:
+            candidates = _candidates_join(frequent, max_gap is not None)
+        if budget is not None:
+            budget.charge_candidates(len(candidates), phase=f"pass-{k}")
+        return candidates
+
+    def count(candidates, k):
+        candidate_items = [
+            (cand, frozenset(i for e in cand for i in e))
+            for cand in candidates
+        ]
+        if region is not None:
+            cands_handle = region.put_object(candidate_items)
+            try:
+                tasks = [
+                    (db_handle, cands_handle, k, checker, begin, stop,
+                     backend)
+                    for begin, stop in shard_bounds(n, n_jobs)
+                ]
+                vectors = shared_pool(n_jobs).map(
+                    _count_shard_task, tasks, ctx=ctx, phase=f"count-{k}",
                 )
-            frequent = {
-                cand: cnt
-                for cand, cnt in zip(candidates, totals)
-                if cnt >= min_count
-            }
-            stats.append(
-                PassStats(k, len(candidates), len(frequent), _time.perf_counter() - started)
+            finally:
+                region.release(cands_handle)
+            totals = [sum(column) for column in zip(*vectors)]
+        else:
+            totals = _count_range(
+                db, times, candidate_items, k, checker, 0, n, budget,
+                backend,
             )
-            all_frequent.update(frequent)
-            k += 1
-            ctx.mark(lambda: levelwise_state(k, frequent, all_frequent, stats))
-    except BudgetExceeded as exc:
-        if on_exhausted == "raise":
-            raise
-        result = FrequentSequences(
-            all_frequent,
-            n,
-            min_support,
-            truncated=True,
-            truncation_reason=f"{type(exc).__name__}: {exc}",
+        return {
+            cand: cnt
+            for cand, cnt in zip(candidates, totals)
+            if cnt >= min_count
+        }
+
+    try:
+        run = run_levelwise(
+            ctx,
+            n_items=db.n_items,
+            first_pass=first_pass,
+            generate=generate,
+            count=count,
+            max_k=max_length,
+            on_exhausted=on_exhausted,
+            key=lambda: checkpoint_key(
+                "gsp", db, min_support,
+                max_length=max_length, min_gap=min_gap, max_gap=max_gap,
+                window=window,
+            ),
         )
-        result.pass_stats = stats
-        return result
     finally:
         if region is not None:
             region.close()
-        ctx.flush()
-
-    result = FrequentSequences(all_frequent, n, min_support)
-    result.pass_stats = stats
-    return result
+    return run.result(FrequentSequences, run.all_frequent, n, min_support)
 
 
 def _count_shard_task(args, shard_ctx):

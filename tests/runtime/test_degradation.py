@@ -16,11 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.associations.apriori import ON_EXHAUSTED, apriori
+from repro.associations.apriori import apriori
 from repro.classification import C45
 from repro.clustering import KMeans
 from repro.core.exceptions import ConvergenceWarning, ValidationError
 from repro.runtime import Budget, TriggerAfter
+from repro.runtime.context import LEVELWISE_POLICIES
 from repro.cli import main
 
 
@@ -64,7 +65,7 @@ class TestMinerDegradation:
     def test_invalid_policy_rejected(self, medium_db):
         with pytest.raises(ValidationError):
             apriori(medium_db, 0.05, on_exhausted="retry-harder")
-        assert "truncate" in ON_EXHAUSTED
+        assert "truncate" in LEVELWISE_POLICIES
 
     def test_truncation_reason_names_the_exception(self, medium_db):
         partial = apriori(
