@@ -53,17 +53,11 @@ from ..runtime.context import (
 _LEVELWISE_CAPS = _Caps(
     checkpointable=True, supervisable=True,
     budget_resource="candidates", degradation_policies=_LEVELWISE,
-    parallelizable=True,
-)
-_DHP_CAPS = _Caps(
-    checkpointable=True, supervisable=True,
-    budget_resource="candidates", degradation_policies=_LEVELWISE,
     parallelizable=True, vectorizable=True,
 )
 _DEPTH_FIRST_CAPS = _Caps(
     checkpointable=True, supervisable=True,
     budget_resource="candidates", degradation_policies=_BASIC,
-    vectorizable=True,
 )
 _PARTITION_CAPS = _Caps(
     checkpointable=True, supervisable=True,
@@ -83,7 +77,7 @@ for _spec in (
                 budget_resource="candidates",
                 degradation_policies=_LEVELWISE),
           summary="levelwise over transformed transaction lists"),
-    _Spec("dhp", "associations", dhp, _DHP_CAPS,
+    _Spec("dhp", "associations", dhp, _LEVELWISE_CAPS,
           summary="hash-filtered pass 2 (Park/Chen/Yu)"),
     _Spec("partition", "associations", partition_miner, _PARTITION_CAPS,
           summary="two-scan partitioned mining (Savasere et al.)"),

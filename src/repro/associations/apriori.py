@@ -2,9 +2,9 @@
 
 Apriori makes one pass over the transaction database per itemset size:
 pass k counts the candidates produced by *apriori-gen* from the frequent
-(k-1)-itemsets, using either a hash tree (the paper's structure) or a
-plain dictionary of candidates (simpler, often competitive in Python for
-small candidate sets).
+(k-1)-itemsets, using a hash tree (the paper's structure), a plain
+dictionary of candidates (simpler, often competitive in Python for small
+candidate sets) or the database's packed item bitmap.
 """
 
 from __future__ import annotations
@@ -13,24 +13,22 @@ from itertools import combinations
 from typing import Dict, Optional
 
 from ..core.base import check_in_range, check_nonempty
+from ..core.columnar import PackedBitmap, transaction_bitmap
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
 from ..runtime.transport import SharedRegion, get_object
-from .bitmap import BitmapDatabase
 from .candidates import apriori_gen
 from .hash_tree import HashTree
 from .levelwise import degrade_levelwise, run_levelwise
 
-#: candidate-store strategies accepted by :func:`apriori`
+#: counting backends accepted by :func:`apriori` and ``dhp``
 CANDIDATE_STORES = ("hash_tree", "dict", "bitmap")
 
 
@@ -81,10 +79,8 @@ def apriori(
     db: TransactionDatabase,
     min_support: float = 0.01,
     max_size: Optional[int] = None,
-    candidate_store: str = "hash_tree",
-    budget: Optional[Budget] = None,
+    backend: str = "hash_tree",
     on_exhausted: str = "raise",
-    checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
     n_jobs: Optional[int] = None,
 ) -> FrequentItemsets:
@@ -98,20 +94,18 @@ def apriori(
         Relative minimum support in (0, 1].
     max_size:
         Stop after itemsets of this size (``None`` = mine to exhaustion).
-    candidate_store:
-        ``"hash_tree"`` for the paper's hash tree, ``"dict"`` for a plain
-        per-candidate subset check (O(|t| choose k) per transaction; fine
-        for short transactions, used mostly for cross-validation in tests),
-        or ``"bitmap"`` for the vectorized
-        :class:`~repro.associations.bitmap.BitmapDatabase` backend — the
-        database is encoded once as a boolean item×transaction matrix and
-        supports are column AND-reductions (fastest for dense/basket
-        shapes; costs ``n_items × n_transactions`` bytes).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget` checked once per pass,
-        per generated candidate, and periodically during counting scans.
-        ``None`` (the default) skips every check.
+    backend:
+        The counting backend.  ``"hash_tree"`` for the paper's hash tree,
+        ``"dict"`` for a plain per-candidate subset check (O(|t| choose
+        k) per transaction; fine for short transactions, used mostly for
+        cross-validation in tests), or ``"bitmap"`` for the vectorized
+        kernel over the database's memoized
+        :class:`~repro.core.columnar.PackedBitmap` — the database is
+        encoded once as a packed item×transaction bit matrix and a
+        support is the popcount of the AND of the candidate's item rows
+        (fastest for dense/basket shapes; costs
+        ``n_items × n_transactions / 8`` bytes).  Results are identical
+        across backends.
     on_exhausted:
         What to do when the budget fires: ``"raise"`` propagates the
         :class:`~repro.runtime.BudgetExceeded`; ``"truncate"`` returns
@@ -122,16 +116,14 @@ def apriori(
         :func:`~repro.associations.sampling.sampling_miner` before
         returning the (still truncated) union.  Cancellation always
         propagates regardless of this setting.
-    checkpoint:
-        Deprecated alias for ``ctx=ExecutionContext(checkpointer=...)``:
-        optional :class:`~repro.runtime.Checkpointer`.  The state of
-        every completed pass is marked (and periodically persisted) so
-        an interrupted run resumes from its last completed pass; any
-        exit — normal, exhausted, cancelled — flushes a final snapshot.
-        ``None`` (the default) is byte-identical to no checkpointing.
     ctx:
         Optional :class:`~repro.runtime.ExecutionContext` bundling
-        budget, checkpointer, cancellation and progress hooks.  The
+        budget, checkpointer, cancellation and progress hooks.  Its
+        budget is checked once per pass, per generated candidate, and
+        periodically during counting scans.  Its checkpointer marks (and
+        periodically persists) the state of every completed pass, so an
+        interrupted run resumes from its last completed pass; any exit —
+        normal, exhausted, cancelled — flushes a final snapshot.  The
         default null context is byte-identical to a bare call.
     n_jobs:
         Counting-scan parallelism: with ``n_jobs > 1`` each pass shards
@@ -153,13 +145,12 @@ def apriori(
     >>> sorted(result.supports.items())[:3]
     [((0,), 3), ((0, 1), 2), ((0, 2), 2)]
     """
-    if candidate_store not in CANDIDATE_STORES:
+    if backend not in CANDIDATE_STORES:
         raise ValidationError(
-            f"candidate_store must be one of {CANDIDATE_STORES}, "
-            f"got {candidate_store!r}"
+            f"backend must be one of {CANDIDATE_STORES}, got {backend!r}"
         )
-    ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
-                          owner="apriori")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, LEVELWISE_POLICIES, "apriori")
     n_jobs = resolve_n_jobs(n_jobs, "apriori")
     ctx.raise_if_cancelled()
@@ -169,7 +160,7 @@ def apriori(
     check_nonempty("transaction database", n, "transactions")
     min_count = min_count_from_support(n, min_support)
 
-    bitmap = BitmapDatabase(db) if candidate_store == "bitmap" else None
+    bitmap = transaction_bitmap(db) if backend == "bitmap" else None
     assets = (
         CountingAssets(db, bitmap) if n_jobs > 1 and len(db) > 1 else None
     )
@@ -180,14 +171,16 @@ def apriori(
             first_pass=lambda: frequent_one_itemsets(db, min_count),
             generate=lambda frequent, k: apriori_gen(frequent, ctx.budget),
             count=lambda candidates, k: count_pass(
-                db, candidates, k, min_count, candidate_store,
+                db, candidates, k, min_count, backend,
                 ctx=ctx, n_jobs=n_jobs, bitmap=bitmap, assets=assets,
             ),
             max_k=max_size,
             on_exhausted=on_exhausted,
+            # The key field keeps its historical name so snapshots
+            # written before the rename still resume.
             key=lambda: checkpoint_key(
                 "apriori", db, min_support,
-                max_size=max_size, candidate_store=candidate_store,
+                max_size=max_size, candidate_store=backend,
             ),
         )
     finally:
@@ -201,7 +194,7 @@ def apriori(
 class CountingAssets:
     """Shared segments serving every counting pass of one miner run.
 
-    The database (and bitmap encoding, if any) is placed into a
+    The database (and its packed bitmap, if any) is placed into a
     :class:`~repro.runtime.transport.SharedRegion` once; each pass then
     ships workers a :class:`~repro.runtime.transport.SegmentHandle`
     instead of re-pickling the payload per task.  Pool workers forked
@@ -223,11 +216,10 @@ class CountingAssets:
 
 def _count_shard_task(args, shard_ctx):
     """Pool task: one row shard's count vector, inputs via handles."""
-    db_handle, cands_handle, k, candidate_store, bitmap_handle, begin, stop \
-        = args
+    db_handle, cands_handle, k, backend, bitmap_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
     return shard_count_vector(
-        get_object(db_handle), get_object(cands_handle), k, candidate_store,
+        get_object(db_handle), get_object(cands_handle), k, backend,
         begin, stop, budget=budget,
         bitmap=get_object(bitmap_handle) if bitmap_handle is not None
         else None,
@@ -236,12 +228,11 @@ def _count_shard_task(args, shard_ctx):
 
 def _count_candidate_shard_task(args, shard_ctx):
     """Pool task: one candidate slice counted over the full database."""
-    db_handle, cands_handle, k, candidate_store, bitmap_handle, begin, stop \
-        = args
+    db_handle, cands_handle, k, backend, bitmap_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
     db = get_object(db_handle)
     return shard_count_vector(
-        db, get_object(cands_handle)[begin:stop], k, candidate_store,
+        db, get_object(cands_handle)[begin:stop], k, backend,
         0, len(db), budget=budget,
         bitmap=get_object(bitmap_handle) if bitmap_handle is not None
         else None,
@@ -253,10 +244,10 @@ def count_pass(
     candidates,
     k: int,
     min_count: int,
-    candidate_store: str = "hash_tree",
+    backend: str = "hash_tree",
     ctx: Optional[ExecutionContext] = None,
     n_jobs: int = 1,
-    bitmap: Optional[BitmapDatabase] = None,
+    bitmap: Optional[PackedBitmap] = None,
     assets: Optional[CountingAssets] = None,
 ) -> Dict[Itemset, int]:
     """One counting pass: candidate supports over the whole database.
@@ -278,24 +269,24 @@ def count_pass(
     budget = None if ctx is None else ctx.budget
     if n_jobs > 1 and len(db) > 1:
         counts = _map_reduce_counts(
-            db, candidates, k, candidate_store, ctx, n_jobs, bitmap, assets
+            db, candidates, k, backend, ctx, n_jobs, bitmap, assets
         )
         return {
             cand: cnt
             for cand, cnt in zip(candidates, counts)
             if cnt >= min_count
         }
-    if candidate_store == "hash_tree":
+    if backend == "hash_tree":
         return _count_with_hash_tree(db, candidates, min_count, budget)
-    if candidate_store == "dict":
+    if backend == "dict":
         return _count_with_dict(db, candidates, k, min_count, budget)
     if bitmap is None:
-        bitmap = BitmapDatabase(db)
+        bitmap = transaction_bitmap(db)
     return bitmap.frequent(candidates, min_count, budget)
 
 
 def shard_count_vector(
-    db, candidates, k, candidate_store, begin, stop,
+    db, candidates, k, backend, begin, stop,
     budget=None, bitmap=None,
 ):
     """Support counts of ``candidates`` over rows ``[begin, stop)``.
@@ -305,10 +296,10 @@ def shard_count_vector(
     only read ``db``/``bitmap`` (inherited copy-on-write) and respect
     its shard-local ``budget``.
     """
-    if candidate_store == "bitmap":
-        store = bitmap if bitmap is not None else BitmapDatabase(db)
+    if backend == "bitmap":
+        store = bitmap if bitmap is not None else transaction_bitmap(db)
         return store.count(candidates, budget, begin, stop)
-    if candidate_store == "hash_tree":
+    if backend == "hash_tree":
         tree = HashTree(candidates)
         tree.count_transactions(db[begin:stop], budget)
         return tree.count_vector()
@@ -317,7 +308,7 @@ def shard_count_vector(
     return list(counts.values())
 
 
-def _map_reduce_counts(db, candidates, k, candidate_store, ctx, n_jobs,
+def _map_reduce_counts(db, candidates, k, backend, ctx, n_jobs,
                        bitmap, assets=None):
     pass_region = None
     if assets is None:
@@ -340,7 +331,7 @@ def _map_reduce_counts(db, candidates, k, candidate_store, ctx, n_jobs,
         else _count_shard_task
     try:
         tasks = [
-            (assets.db_handle, cands_handle, k, candidate_store,
+            (assets.db_handle, cands_handle, k, backend,
              assets.bitmap_handle, begin, stop)
             for begin, stop in shard_bounds(span, n_jobs)
         ]

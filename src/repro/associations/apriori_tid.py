@@ -19,12 +19,10 @@ from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from .apriori import (
     checkpoint_key,
@@ -42,16 +40,15 @@ def apriori_tid(
     db: TransactionDatabase,
     min_support: float = 0.01,
     max_size: Optional[int] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
-    checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
 ) -> FrequentItemsets:
     """Mine all frequent itemsets with the AprioriTid algorithm.
 
     Parameters and result are identical to
     :func:`~repro.associations.apriori.apriori` (including the
-    ``budget``/``on_exhausted``/``checkpoint`` guardrails); only the
+    ``on_exhausted`` policy and the budget and checkpointer carried by
+    ``ctx``); only the
     counting machinery differs, so the two must return exactly the same
     itemsets.  Snapshots carry the transformed C̄_k lists alongside the
     levelwise state, so a resumed run rereads nothing.
@@ -62,8 +59,8 @@ def apriori_tid(
     >>> apriori_tid(db, 0.5).supports[(0, 1)]
     2
     """
-    ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
-                          owner="apriori_tid")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, LEVELWISE_POLICIES, "apriori_tid")
     ctx.raise_if_cancelled()
     if max_size is not None and max_size < 1:

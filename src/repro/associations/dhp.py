@@ -14,15 +14,14 @@ from itertools import combinations
 from typing import Dict, List, Optional
 
 from ..core.base import check_in_range, check_nonempty
+from ..core.columnar import transaction_bitmap
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, Checkpointer
 from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from ..runtime.parallel import resolve_n_jobs
 from .apriori import (
@@ -32,7 +31,6 @@ from .apriori import (
     count_pass,
     min_count_from_support,
 )
-from .bitmap import BitmapDatabase
 from .candidates import apriori_gen
 from .levelwise import degrade_levelwise, run_levelwise
 
@@ -42,9 +40,7 @@ def dhp(
     min_support: float = 0.01,
     n_buckets: int = 4096,
     max_size: Optional[int] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
-    checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
     n_jobs: Optional[int] = None,
     backend: str = "hash_tree",
@@ -53,23 +49,23 @@ def dhp(
 
     Parameters
     ----------
-    db, min_support, max_size, budget, on_exhausted, checkpoint, n_jobs:
+    db, min_support, max_size, on_exhausted, ctx, n_jobs:
         As in :func:`~repro.associations.apriori.apriori`; the result is
         identical.  ``n_jobs`` parallelises the counting scans of pass 2
         and the later apriori passes (the pass-1 hash-filter build stays
-        serial — it is a single cheap scan).  The unfiltered C2 size ``|F1 choose 2|`` is charged
-        against the candidate budget *before* the pair list materialises,
-        so a space cap rejects the classic pass-2 blow-up up front.
-        Snapshots record which stage completed (the hash-filter pass, the
-        filtered pass 2, or a later pass k) together with the pass-1
-        bucket counters, which pass 2 still needs after a resume.
+        serial — it is a single cheap scan).  The unfiltered C2 size
+        ``|F1 choose 2|`` is charged against the candidate budget
+        *before* the pair list materialises, so a space cap rejects the
+        classic pass-2 blow-up up front.  Snapshots record which stage
+        completed (the hash-filter pass, the filtered pass 2, or a later
+        pass k) together with the pass-1 bucket counters, which pass 2
+        still needs after a resume.
     n_buckets:
         Size of the pass-1 hash table.  More buckets = fewer collisions
         = sharper C2 pruning.
     backend:
-        Counting backend for pass 2 and the later passes — apriori's
-        ``candidate_store`` seam under the registry's uniform backend
-        name, accepting the same values.  ``"bitmap"`` counts the
+        Counting backend for pass 2 and the later passes, with the same
+        values as apriori's ``backend``.  ``"bitmap"`` counts the
         hash-filtered pairs by AND+popcount over the database's
         memoized packed bit matrix (:mod:`repro.core.columnar`) —
         byte-identical supports, one vectorized reduction per
@@ -93,9 +89,8 @@ def dhp(
             f"backend must be one of {CANDIDATE_STORES}, "
             f"got {backend!r}"
         )
-    candidate_store = backend
-    ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
-                          owner="dhp")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, LEVELWISE_POLICIES, "dhp")
     n_jobs = resolve_n_jobs(n_jobs, "dhp")
     ctx.raise_if_cancelled()
@@ -161,7 +156,7 @@ def dhp(
         else:  # later passes never consult the hash filter
             c2 = state["c2"]
 
-    bitmap = BitmapDatabase(db) if candidate_store == "bitmap" else None
+    bitmap = transaction_bitmap(db) if backend == "bitmap" else None
     assets = (
         CountingAssets(db, bitmap) if n_jobs > 1 and n > 1 else None
     )
@@ -172,7 +167,7 @@ def dhp(
             first_pass=first_pass,
             generate=generate,
             count=lambda candidates, k: count_pass(
-                db, candidates, k, min_count, candidate_store,
+                db, candidates, k, min_count, backend,
                 ctx=ctx, n_jobs=n_jobs, bitmap=bitmap, assets=assets,
             ),
             max_k=max_size,

@@ -25,7 +25,6 @@ from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from .apriori import min_count_from_support
 
@@ -107,7 +106,6 @@ def fp_growth(
     db: TransactionDatabase,
     min_support: float = 0.01,
     max_size: Optional[int] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
     ctx: Optional[ExecutionContext] = None,
 ) -> FrequentItemsets:
@@ -117,12 +115,11 @@ def fp_growth(
     :func:`~repro.associations.apriori.apriori`; ``pass_stats`` is empty
     because FP-Growth is not levelwise.
 
-    The ``budget`` is charged one expansion per conditional-tree descent
-    and one candidate per emitted itemset (including the combinatorial
-    single-path emission, FP-Growth's blow-up site).  ``on_exhausted``
+    The budget in ``ctx`` is charged one expansion per conditional-tree
+    descent and one candidate per emitted itemset (including the
+    combinatorial single-path emission, FP-Growth's blow-up site).  ``on_exhausted``
     supports ``"raise"`` and ``"truncate"`` — FP-Growth has no cheaper
     fallback miner, so the partition/sampling policies are rejected.
-    ``budget`` is a deprecated alias for ``ctx=ExecutionContext(budget=...)``;
     FP-Growth has no resumable boundary, so it declares no checkpoint
     support.
 
@@ -132,7 +129,8 @@ def fp_growth(
     >>> fp_growth(db, 0.5).supports[(0, 2)]
     2
     """
-    ctx = resolve_context(ctx, budget=budget, owner="fp_growth")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "fp_growth")
     ctx.raise_if_cancelled()
     budget = ctx.budget

@@ -10,8 +10,8 @@ Exactly two scans of the database, regardless of the largest itemset:
 2. **Scan 2** — count the global support of every local candidate and
    keep those clearing the global threshold.
 
-Partition boundaries are natural restart points: the optional
-``checkpoint`` marks the candidate union after every completed
+Partition boundaries are natural restart points: a checkpointer in the
+run's context marks the candidate union after every completed
 partition, so a killed scan 1 resumes at the next partition instead of
 re-mining the completed ones.
 """
@@ -26,17 +26,18 @@ from ..core.columnar import popcount, transaction_bitmap, window_mask
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import Budget, BudgetExceeded
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
 from ..runtime.transport import SharedRegion, get_object
 from .apriori import checkpoint_key, min_count_from_support
-from .eclat import TIDSET_BACKENDS
+
+#: tidlist backends accepted by :func:`partition_miner`
+TIDSET_BACKENDS = ("tidset", "bitset")
 
 
 def partition_miner(
@@ -44,9 +45,7 @@ def partition_miner(
     min_support: float = 0.01,
     n_partitions: int = 4,
     max_size: Optional[int] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
-    checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
     n_jobs: Optional[int] = None,
     backend: str = "tidset",
@@ -62,19 +61,18 @@ def partition_miner(
         How many contiguous chunks the database is split into.  More
         partitions = less memory per local mine but more false local
         candidates to recount in scan 2.
-    budget:
-        Optional :class:`~repro.runtime.Budget`, checked at every
-        partition boundary and class expansion, charged one candidate
-        per tidset join, and polled periodically during scan 2.
     on_exhausted:
         ``"raise"`` propagates :class:`~repro.runtime.BudgetExceeded`;
         ``"truncate"`` globally recounts the candidates collected so far
         (unbudgeted — scan 2 is the cheap part) and returns them flagged
         ``truncated=True``; itemsets from unmined partitions are lost
         but everything returned is genuinely frequent.
-    checkpoint:
-        Optional :class:`~repro.runtime.Checkpointer`; every completed
-        partition of scan 1 is a resumable boundary.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        checked at every partition boundary and class expansion, charged
+        one candidate per tidset join, and polled periodically during
+        scan 2.  Under its checkpointer every completed partition of
+        scan 1 is a resumable boundary.
     n_jobs:
         Partitions are the algorithm's natural shard: with ``n_jobs > 1``
         scan 1 mines them in forked workers and scan 2 splits the global
@@ -101,8 +99,8 @@ def partition_miner(
             f"backend must be one of {TIDSET_BACKENDS}, got {backend!r}"
         )
     check_in_range("n_partitions", n_partitions, 1, None)
-    ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
-                          owner="partition_miner")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "partition_miner")
     n_jobs = resolve_n_jobs(n_jobs, "partition_miner")
     ctx.raise_if_cancelled()

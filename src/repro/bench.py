@@ -123,7 +123,7 @@ def bench_apriori(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
     bitmap = _entry(
         "apriori_bitmap", params, 1, repeat,
         lambda: apriori(db, min_support),
-        lambda: apriori(db, min_support, candidate_store="bitmap"),
+        lambda: apriori(db, min_support, backend="bitmap"),
         _itemsets_fingerprint,
     )
     return [shard, bitmap]
@@ -280,8 +280,8 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
     ``encodings``); with ``repeat > 1`` the best-of timing reflects the
     warm-cache kernel cost.
     """
-    from .associations import dhp, eclat, partition_miner
-    from .classification import SLIQ, KNN, NaiveBayes
+    from .associations import dhp, partition_miner
+    from .classification import SLIQ
     from .clustering import KMeans
     from .datasets import agrawal, gaussian_blobs, quest_basket, quest_sequences
     from .sequences import gsp
@@ -294,12 +294,6 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
     db = quest_basket(rows, random_state=2024)
     min_support = 0.01
     params = {"rows": rows, "min_support": min_support}
-    entries.append(_entry(
-        "eclat_bitset", params, 1, repeat,
-        lambda: eclat(db, min_support),
-        lambda: eclat(db, min_support, backend="bitset"),
-        _itemsets_fingerprint,
-    ))
     part_params = dict(params, n_partitions=2)
     entries.append(_entry(
         "partition_bitset", part_params, 1, repeat,
@@ -377,32 +371,6 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
         lambda: KMeans(12, n_init=4, random_state=0).fit(X),
         lambda: KMeans(12, n_init=4, random_state=0, backend="elkan").fit(X),
         _kmeans_fingerprint,
-    ))
-
-    nb_scalar = NaiveBayes().fit(table, "group")
-    nb_columnar = NaiveBayes(backend="columnar").fit(table, "group")
-
-    def _proba_fingerprint(proba) -> bytes:
-        return proba.tobytes()
-
-    entries.append(_entry(
-        "nb_columnar", table_params, 1, repeat,
-        lambda: nb_scalar.predict_proba(table),
-        lambda: nb_columnar.predict_proba(table),
-        _proba_fingerprint,
-    ))
-
-    knn_rows = min(table_rows, 1500)
-    knn_table = agrawal(knn_rows, function=2, noise=0.05, random_state=2025)
-    knn_scalar = KNN(n_neighbors=5).fit(knn_table, "group")
-    knn_columnar = KNN(n_neighbors=5, backend="columnar").fit(
-        knn_table, "group"
-    )
-    entries.append(_entry(
-        "knn_columnar", {"rows": knn_rows}, 1, repeat,
-        lambda: knn_scalar.predict_proba(knn_table),
-        lambda: knn_columnar.predict_proba(knn_table),
-        _proba_fingerprint,
     ))
 
     return {

@@ -69,7 +69,6 @@ _TREE_CAPS = _Caps(supervisable=True, budget_resource="nodes")
 _PLAIN_CAPS = _Caps(supervisable=True)
 _SLIQ_CAPS = _Caps(supervisable=True, budget_resource="nodes",
                    vectorizable=True)
-_VECTOR_PLAIN_CAPS = _Caps(supervisable=True, vectorizable=True)
 for _spec in (
     _Spec("c45", "classification", C45, _TREE_CAPS,
           summary="gain-ratio tree with pessimistic pruning"),
@@ -77,9 +76,9 @@ for _spec in (
           summary="binary Gini tree with cost-complexity pruning"),
     _Spec("sliq", "classification", SLIQ, _SLIQ_CAPS,
           summary="breadth-first tree over pre-sorted attribute lists"),
-    _Spec("nb", "classification", NaiveBayes, _VECTOR_PLAIN_CAPS,
+    _Spec("nb", "classification", NaiveBayes, _PLAIN_CAPS,
           summary="Gaussian + Laplace-smoothed naive Bayes"),
-    _Spec("knn", "classification", KNN, _VECTOR_PLAIN_CAPS,
+    _Spec("knn", "classification", KNN, _PLAIN_CAPS,
           summary="lazy nearest-neighbour voting"),
     _Spec("oner", "classification", OneR, _PLAIN_CAPS,
           summary="best single-attribute rule set"),

@@ -27,7 +27,7 @@ class ZeroR(Classifier):
     """
 
     def __init__(self, ctx=None):
-        self._init_context(ctx)
+        self.ctx = ctx
 
     def _fit(self, features: Table, y: np.ndarray, target: Attribute) -> None:
         counts = np.bincount(y, minlength=len(target.values))
@@ -59,7 +59,7 @@ class OneR(Classifier):
     def __init__(self, n_bins: int = 6, ctx=None):
         check_in_range("n_bins", n_bins, 2, None)
         self.n_bins = int(n_bins)
-        self._init_context(ctx)
+        self.ctx = ctx
         self.rule_attribute_: Optional[str] = None
 
     def _fit(self, features: Table, y: np.ndarray, target: Attribute) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.base import Classifier, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.table import Attribute, Table
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import entropy, gain_ratio, information_gain, split_information
 from .pruning import pessimistic_prune
@@ -59,13 +59,13 @@ class C45(Classifier):
     confidence:
         Confidence level for the pessimistic error estimate (Quinlan's
         default 0.25).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, charged one node unit
-        per attempted split and checked at every node.  On exhaustion
-        the grower stops splitting, finalizes the remaining frontier as
-        leaves, and sets ``truncated_ = True`` — the tree is complete
-        and usable, just shallower than an unbudgeted fit.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one node unit per attempted split and checked at every
+        node.  On exhaustion the grower stops splitting, finalizes the
+        remaining frontier as leaves, and sets ``truncated_ = True`` —
+        the tree is complete and usable, just shallower than an
+        unbudgeted fit.
 
     Examples
     --------
@@ -82,7 +82,6 @@ class C45(Classifier):
         min_gain: float = 1e-6,
         prune: bool = True,
         confidence: float = 0.25,
-        budget: Optional[Budget] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         if max_depth is not None and max_depth < 1:
@@ -94,7 +93,7 @@ class C45(Classifier):
         self.min_gain = min_gain
         self.prune = prune
         self.confidence = confidence
-        self._init_context(ctx, budget=budget)
+        self.ctx = ctx
         self.tree_: Optional[TreeNode] = None
         self.truncated_ = False
         self.truncation_reason_: Optional[str] = None

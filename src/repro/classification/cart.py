@@ -24,7 +24,7 @@ import numpy as np
 from ..core.base import Classifier, check_in_range
 from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import entropy, gini
 from .pruning import prune_to_alpha
@@ -58,11 +58,11 @@ class CART(Classifier):
         get an exhaustive binary-subset search; beyond it, categories are
         ordered by the node's majority-class proportion and only the
         resulting linear splits are scanned (exact for binary targets).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, charged one node unit
-        per attempted split.  On exhaustion growth stops, the remaining
-        frontier finalizes as leaves, and ``truncated_`` is set.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one node unit per attempted split.  On exhaustion growth
+        stops, the remaining frontier finalizes as leaves, and
+        ``truncated_`` is set.
 
     Examples
     --------
@@ -81,7 +81,6 @@ class CART(Classifier):
         min_impurity_decrease: float = 0.0,
         ccp_alpha: float = 0.0,
         max_exhaustive_categories: int = 8,
-        budget: Optional[Budget] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         if criterion not in _CRITERIA:
@@ -101,7 +100,7 @@ class CART(Classifier):
         self.min_impurity_decrease = min_impurity_decrease
         self.ccp_alpha = ccp_alpha
         self.max_exhaustive_categories = max_exhaustive_categories
-        self._init_context(ctx, budget=budget)
+        self.ctx = ctx
         self.tree_: Optional[TreeNode] = None
         self.truncated_ = False
         self.truncation_reason_: Optional[str] = None

@@ -15,19 +15,11 @@ from typing import Optional
 import numpy as np
 
 from ..core.base import Classifier, check_in_range
-from ..core.columnar import table_matrix
 from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
 
 _METRICS = ("euclidean", "manhattan")
 _WEIGHTS = ("uniform", "distance")
-
-#: Distance-kernel backends.  ``"block"`` re-extracts dense matrices on
-#: every call; ``"columnar"`` reads the memoized matrices from
-#: :mod:`repro.core.columnar` and hoists the training-side squared
-#: norms out of the per-block Euclidean expansion.  Distances — and so
-#: predictions — are byte-for-byte identical.
-DISTANCE_BACKENDS = ("block", "columnar")
 
 
 class KNN(Classifier):
@@ -45,12 +37,6 @@ class KNN(Classifier):
         weighted vote.
     block_size:
         Rows of the query matrix processed per distance block.
-    backend:
-        ``"block"`` (default) extracts dense matrices per call;
-        ``"columnar"`` serves them from the table's memoized views
-        (:mod:`repro.core.columnar`) when the schema matches training
-        (falling back otherwise) and reuses the training squared norms
-        across blocks.  Results are byte-for-byte identical.
 
     Notes
     -----
@@ -74,7 +60,6 @@ class KNN(Classifier):
         weights: str = "uniform",
         block_size: int = 1024,
         ctx=None,
-        backend: str = "block",
     ):
         check_in_range("n_neighbors", n_neighbors, 1, None)
         if metric not in _METRICS:
@@ -83,19 +68,12 @@ class KNN(Classifier):
             raise ValidationError(
                 f"weights must be one of {_WEIGHTS}, got {weights!r}"
             )
-        if backend not in DISTANCE_BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {DISTANCE_BACKENDS}, "
-                f"got {backend!r}"
-            )
-        self.backend = backend
         self.n_neighbors = int(n_neighbors)
         self.metric = metric
         self.weights = weights
         self.block_size = int(block_size)
-        self._init_context(ctx)
+        self.ctx = ctx
         self._train_numeric: Optional[np.ndarray] = None
-        self._train_sq_norms: Optional[np.ndarray] = None
 
     def _fit(self, features: Table, y: np.ndarray, target: Attribute) -> None:
         self._numeric_names = [
@@ -106,11 +84,6 @@ class KNN(Classifier):
         ]
         self._train_numeric = self._numeric_matrix(features)
         self._train_categorical = self._categorical_matrix(features)
-        self._train_sq_norms = (
-            (self._train_numeric**2).sum(axis=1)
-            if self.backend == "columnar"
-            else None
-        )
         self._train_y = y.copy()
         self._n_classes = len(target.values)
         if self.n_neighbors > features.n_rows:
@@ -122,13 +95,7 @@ class KNN(Classifier):
     def _numeric_matrix(self, table: Table) -> np.ndarray:
         if not self._numeric_names:
             return np.empty((table.n_rows, 0))
-        m = None
-        if self.backend == "columnar":
-            tm = table_matrix(table)
-            if tm.numeric_names == tuple(self._numeric_names):
-                m = tm.numeric
-        if m is None:
-            m = table.to_matrix(self._numeric_names)
+        m = table.to_matrix(self._numeric_names)
         if np.isnan(m).any():
             raise ValidationError("KNN does not handle missing numeric values")
         return m
@@ -136,14 +103,8 @@ class KNN(Classifier):
     def _categorical_matrix(self, table: Table) -> np.ndarray:
         if not self._categorical_names:
             return np.empty((table.n_rows, 0), dtype=np.int64)
-        m = None
-        if self.backend == "columnar":
-            tm = table_matrix(table)
-            if tm.categorical_names == tuple(self._categorical_names):
-                m = tm.categorical
-        if m is None:
-            cols = [table.column(n) for n in self._categorical_names]
-            m = np.column_stack(cols)
+        cols = [table.column(n) for n in self._categorical_names]
+        m = np.column_stack(cols)
         if (m < 0).any():
             raise ValidationError("KNN does not handle missing categorical values")
         return m
@@ -151,16 +112,11 @@ class KNN(Classifier):
     def _distances(self, q_num: np.ndarray, q_cat: np.ndarray) -> np.ndarray:
         t_num, t_cat = self._train_numeric, self._train_categorical
         if self.metric == "euclidean":
-            t_sq = (
-                self._train_sq_norms
-                if self._train_sq_norms is not None
-                else (t_num**2).sum(axis=1)
-            )
             d = np.sqrt(
                 np.maximum(
                     (q_num**2).sum(axis=1)[:, None]
                     - 2.0 * q_num @ t_num.T
-                    + t_sq[None, :],
+                    + (t_num**2).sum(axis=1)[None, :],
                     0.0,
                 )
             )
@@ -199,4 +155,4 @@ class KNN(Classifier):
         return self._predict_proba(features).argmax(axis=1)
 
 
-__all__ = ["KNN", "DISTANCE_BACKENDS"]
+__all__ = ["KNN"]

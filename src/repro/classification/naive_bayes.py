@@ -19,19 +19,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core.base import Classifier, check_in_range
-from ..core.columnar import table_matrix
-from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-#: Likelihood-evaluation backends.  ``"loop"`` extracts one column per
-#: attribute per call; ``"columnar"`` reads the memoized dense matrices
-#: from :mod:`repro.core.columnar` and evaluates every Gaussian
-#: attribute in one broadcast.  Outputs are byte-for-byte identical —
-#: the per-attribute accumulation order into the joint log-likelihood
-#: is preserved exactly.
-LIKELIHOOD_BACKENDS = ("loop", "columnar")
 
 
 class NaiveBayes(Classifier):
@@ -47,13 +37,6 @@ class NaiveBayes(Classifier):
         Minimum per-class variance used for numeric attributes, as a
         fraction of the attribute's global variance; prevents degenerate
         spikes when a class shows a constant value.
-    backend:
-        ``"loop"`` (default) evaluates attribute likelihoods one column
-        at a time; ``"columnar"`` evaluates all Gaussian attributes in
-        a single broadcast over the table's memoized dense matrix
-        (:mod:`repro.core.columnar`) and falls back to the loop when
-        the predict-time table's schema diverges from training.
-        Predictions and probabilities are byte-for-byte identical.
 
     Examples
     --------
@@ -64,18 +47,12 @@ class NaiveBayes(Classifier):
     """
 
     def __init__(self, laplace: float = 1.0, var_floor: float = 1e-9,
-                 ctx=None, backend: str = "loop"):
+                 ctx=None):
         check_in_range("laplace", laplace, 0.0, None, low_inclusive=False)
         check_in_range("var_floor", var_floor, 0.0, None, low_inclusive=False)
-        if backend not in LIKELIHOOD_BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {LIKELIHOOD_BACKENDS}, "
-                f"got {backend!r}"
-            )
-        self.backend = backend
         self.laplace = laplace
         self.var_floor = var_floor
-        self._init_context(ctx)
+        self.ctx = ctx
         self.class_log_prior_: Optional[np.ndarray] = None
 
     def _fit(self, features: Table, y: np.ndarray, target: Attribute) -> None:
@@ -116,71 +93,6 @@ class NaiveBayes(Classifier):
                 self._gaussian_params[attr.name] = (means, variances)
 
     def _joint_log_likelihood(self, features: Table) -> np.ndarray:
-        if self.backend == "columnar":
-            jll = self._joint_log_likelihood_columnar(features)
-            if jll is not None:
-                return jll
-        return self._joint_log_likelihood_loop(features)
-
-    def _joint_log_likelihood_columnar(
-        self, features: Table
-    ) -> Optional[np.ndarray]:
-        """Batched likelihoods off the memoized dense matrices.
-
-        All Gaussian log-pdfs are evaluated in one ``(rows, attrs,
-        classes)`` broadcast, but each attribute's contribution is still
-        added into ``jll`` in training-attribute order, so the floating
-        point accumulation — and therefore every output bit — matches
-        the loop backend.  Returns ``None`` (caller falls back) when the
-        predict-time table disagrees with training about an attribute's
-        type.
-        """
-        tm = table_matrix(features)
-        num_idx = {name: j for j, name in enumerate(tm.numeric_names)}
-        cat_idx = {name: j for j, name in enumerate(tm.categorical_names)}
-        plan = []  # (attr, column index into the matching matrix)
-        numeric_cols = []
-        for attr in self._attributes:
-            if attr.name not in features.attribute_names:
-                continue  # absent at predict time: marginalised
-            lookup = cat_idx if attr.is_categorical else num_idx
-            if attr.name not in lookup:
-                return None  # type changed between fit and predict
-            plan.append((attr, lookup[attr.name]))
-            if not attr.is_categorical:
-                numeric_cols.append((len(numeric_cols), attr.name,
-                                     lookup[attr.name]))
-        log_pdf_all = known_all = None
-        if numeric_cols:
-            x = tm.numeric[:, [j for _, _, j in numeric_cols]]
-            means = np.stack(
-                [self._gaussian_params[name][0] for _, name, _ in numeric_cols]
-            )
-            variances = np.stack(
-                [self._gaussian_params[name][1] for _, name, _ in numeric_cols]
-            )
-            known_all = ~np.isnan(x)
-            log_pdf_all = -0.5 * (
-                _LOG_2PI
-                + np.log(variances)[None, :, :]
-                + (x[:, :, None] - means[None, :, :]) ** 2
-                / variances[None, :, :]
-            )
-        jll = np.tile(self.class_log_prior_, (features.n_rows, 1))
-        slot = 0
-        for attr, j in plan:
-            if attr.is_categorical:
-                table = self._categorical_log_likelihood[attr.name]
-                col = tm.categorical[:, j]
-                known = col >= 0
-                jll[known] += table[:, col[known]].T
-            else:
-                known = known_all[:, slot]
-                jll[known] += log_pdf_all[known, slot, :]
-                slot += 1
-        return jll
-
-    def _joint_log_likelihood_loop(self, features: Table) -> np.ndarray:
         n = features.n_rows
         jll = np.tile(self.class_log_prior_, (n, 1))
         for attr in self._attributes:
@@ -214,4 +126,4 @@ class NaiveBayes(Classifier):
         return proba
 
 
-__all__ = ["NaiveBayes", "LIKELIHOOD_BACKENDS"]
+__all__ = ["NaiveBayes"]

@@ -35,7 +35,7 @@ from ..core.base import Classifier, check_in_range
 from ..core.columnar import presorted_columns
 from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import gini
 from .pruning import pessimistic_prune
@@ -87,13 +87,12 @@ class SLIQ(Classifier):
         Apply pessimistic pruning after growth (stand-in for SLIQ's MDL
         pruning — both collapse statistically unjustified subtrees; the
         substitution is recorded in DESIGN.md).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, checked once per level
-        and charged two node units per applied split.  On exhaustion the
-        still-growing frontier finalizes as leaves and ``truncated_`` is
-        set — breadth-first growth makes the budgeted tree a balanced
-        prefix of the full one.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        checked once per level and charged two node units per applied
+        split.  On exhaustion the still-growing frontier finalizes as
+        leaves and ``truncated_`` is set — breadth-first growth makes
+        the budgeted tree a balanced prefix of the full one.
 
     Notes
     -----
@@ -115,7 +114,6 @@ class SLIQ(Classifier):
         min_gini_decrease: float = 1e-9,
         prune: bool = False,
         max_exhaustive_categories: int = 8,
-        budget: Optional[Budget] = None,
         ctx: Optional[ExecutionContext] = None,
         backend: str = "scan",
     ):
@@ -134,7 +132,7 @@ class SLIQ(Classifier):
         self.min_gini_decrease = min_gini_decrease
         self.prune = prune
         self.max_exhaustive_categories = max_exhaustive_categories
-        self._init_context(ctx, budget=budget)
+        self.ctx = ctx
         self.tree_: Optional[TreeNode] = None
         self.truncated_ = False
         self.truncation_reason_: Optional[str] = None

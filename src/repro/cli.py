@@ -224,7 +224,7 @@ def _cluster_fit_worker(model, X, ctx=None):
     with.
     """
     if ctx is not None and ctx.checkpointer is not None:
-        model.checkpoint = ctx.checkpointer
+        model.ctx.checkpointer = ctx.checkpointer
     model.fit(X)
     return model
 

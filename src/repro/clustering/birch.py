@@ -20,7 +20,7 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ValidationError
 from ..core.random import RandomState
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import nearest_center
 
@@ -86,12 +86,12 @@ class Birch(Clusterer):
     global_clusterer:
         ``"kmeans"`` (weighted, default) or ``"agglomerative"`` over the
         leaf-entry centroids.
-    budget:
-        Optional :class:`~repro.runtime.Budget`, charged one node per
-        point inserted into the CF-tree.  On exhaustion the scan stops,
-        the global phase runs over the partial tree (every point seen so
-        far is summarised), and ``truncated_`` is set; labels are still
-        produced for all rows.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one node per point inserted into the CF-tree.  On
+        exhaustion the scan stops, the global phase runs over the
+        partial tree (every point seen so far is summarised), and
+        ``truncated_`` is set; labels are still produced for all rows.
 
     Attributes
     ----------
@@ -120,7 +120,6 @@ class Birch(Clusterer):
         n_clusters: int = 3,
         global_clusterer: str = "kmeans",
         random_state: RandomState = None,
-        budget: Optional[Budget] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         check_in_range("threshold", threshold, 0.0, None, low_inclusive=False)
@@ -136,7 +135,7 @@ class Birch(Clusterer):
         self.n_clusters = int(n_clusters)
         self.global_clusterer = global_clusterer
         self.random_state = random_state
-        self._init_context(ctx, budget=budget)
+        self.ctx = ctx
         self.subcluster_centers_: Optional[np.ndarray] = None
         self.cluster_centers_: Optional[np.ndarray] = None
         self.truncated_ = False

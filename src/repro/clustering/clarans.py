@@ -20,7 +20,7 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState, check_random_state
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances
 
@@ -42,18 +42,15 @@ class CLARANS(Clusterer):
         the neighbour counter, so on adversarial data a descent could
         otherwise wander indefinitely; hitting the cap ends the descent
         with a :class:`ConvergenceWarning`.
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, charged one expansion
-        per neighbour evaluation.  On exhaustion the best medoid set
-        found so far is kept and ``truncated_`` is set.
-    checkpoint:
-        Deprecated alias for ``ctx=ExecutionContext(checkpointer=...)``:
-        optional :class:`~repro.runtime.Checkpointer`.  Every neighbour
-        evaluation and every completed descent is a resumable boundary;
-        snapshots capture the generator state
-        (``rng.bit_generator.state``), so a resumed search draws exactly
-        the neighbours the uninterrupted one would have drawn.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one expansion per neighbour evaluation; on exhaustion
+        the best medoid set found so far is kept and ``truncated_`` is
+        set.  Under its checkpointer every neighbour evaluation and every
+        completed descent is a resumable boundary; snapshots capture the
+        generator state (``rng.bit_generator.state``), so a resumed
+        search draws exactly the neighbours the uninterrupted one would
+        have drawn.
 
     Attributes
     ----------
@@ -78,8 +75,6 @@ class CLARANS(Clusterer):
         max_neighbor: Optional[int] = None,
         random_state: RandomState = None,
         max_steps: int = 10_000,
-        budget: Optional[Budget] = None,
-        checkpoint: Optional[Checkpointer] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         check_in_range("n_clusters", n_clusters, 1, None)
@@ -92,7 +87,7 @@ class CLARANS(Clusterer):
         self.max_neighbor = max_neighbor
         self.random_state = random_state
         self.max_steps = int(max_steps)
-        self._init_context(ctx, budget=budget, checkpoint=checkpoint)
+        self.ctx = ctx
         self.medoid_indices_: Optional[np.ndarray] = None
         self.cluster_centers_: Optional[np.ndarray] = None
         self.cost_: Optional[float] = None

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 
 NOISE = -1
@@ -70,11 +70,11 @@ class DBSCAN(Clusterer):
         The grid index is used up to this dimensionality; beyond it the
         3^d cell fan-out loses to a plain O(n²) scan, which is used
         instead.
-    budget:
-        Optional :class:`~repro.runtime.Budget`, charged one expansion
-        per region query.  On exhaustion the scan stops: clusters found
-        so far are kept, every unreached point stays noise (``-1``),
-        and ``truncated_`` is set.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one expansion per region query.  On exhaustion the scan
+        stops: clusters found so far are kept, every unreached point
+        stays noise (``-1``), and ``truncated_`` is set.
 
     Attributes
     ----------
@@ -101,7 +101,6 @@ class DBSCAN(Clusterer):
         eps: float = 0.5,
         min_samples: int = 5,
         max_grid_dimensions: int = 6,
-        budget: Optional[Budget] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         check_in_range("eps", eps, 0.0, None, low_inclusive=False)
@@ -109,7 +108,7 @@ class DBSCAN(Clusterer):
         self.eps = float(eps)
         self.min_samples = int(min_samples)
         self.max_grid_dimensions = int(max_grid_dimensions)
-        self._init_context(ctx, budget=budget)
+        self.ctx = ctx
         self.core_sample_indices_: Optional[np.ndarray] = None
         self.n_clusters_: Optional[int] = None
         self.truncated_ = False

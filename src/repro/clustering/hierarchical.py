@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ValidationError
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances
 
@@ -41,12 +41,12 @@ class Agglomerative(Clusterer):
         Number of clusters to cut the dendrogram at.
     linkage:
         One of ``single``, ``complete``, ``average``, ``ward``.
-    budget:
-        Optional :class:`~repro.runtime.Budget`, charged one expansion
-        per merge.  On exhaustion the dendrogram stops where it is: the
-        merge history so far is kept, best-effort labels are cut at the
-        current (coarsest reached) number of clusters, and
-        ``truncated_`` is set.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one expansion per merge.  On exhaustion the dendrogram
+        stops where it is: the merge history so far is kept, best-effort
+        labels are cut at the current (coarsest reached) number of
+        clusters, and ``truncated_`` is set.
 
     Attributes
     ----------
@@ -72,7 +72,6 @@ class Agglomerative(Clusterer):
         self,
         n_clusters: int = 2,
         linkage: str = "ward",
-        budget: Optional[Budget] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         check_in_range("n_clusters", n_clusters, 1, None)
@@ -82,7 +81,7 @@ class Agglomerative(Clusterer):
             )
         self.n_clusters = int(n_clusters)
         self.linkage = linkage
-        self._init_context(ctx, budget=budget)
+        self.ctx = ctx
         self.merges_: Optional[np.ndarray] = None
         self.truncated_ = False
         self.truncation_reason_: Optional[str] = None

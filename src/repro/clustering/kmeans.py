@@ -17,7 +17,7 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState, check_random_state, spawn
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from ..runtime.parallel import resolve_n_jobs, shared_pool
 from ..runtime.transport import SegmentHandle, SharedRegion, get_array
@@ -71,23 +71,18 @@ class KMeans(Clusterer):
         Extra reseeded runs granted when none of the first ``n_init``
         runs converges; a :class:`ConvergenceWarning` is issued only
         after the retry allowance is exhausted.
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, charged one expansion
-        per optimisation iteration.  On exhaustion the current run keeps
-        its best-so-far centroids, no further runs launch, and
-        ``truncated_`` is set.
-    checkpoint:
-        Deprecated alias for ``ctx=ExecutionContext(checkpointer=...)``:
-        optional :class:`~repro.runtime.Checkpointer`.  Every completed
-        optimisation iteration and every completed restart is a
-        resumable boundary; a resumed fit reproduces the uninterrupted
-        centroids, labels, inertia, and iteration count exactly
-        (iterations are deterministic given the boundary centroids, and
-        restart seeds are re-derived from ``random_state``).
     ctx:
         Optional :class:`~repro.runtime.ExecutionContext` bundling
-        budget, checkpointer, cancellation and progress hooks.
+        budget, checkpointer, cancellation and progress hooks.  The
+        budget is charged one expansion per optimisation iteration; on
+        exhaustion the current run keeps its best-so-far centroids, no
+        further runs launch, and ``truncated_`` is set.  Under a
+        checkpointer every completed optimisation iteration and every
+        completed restart is a resumable boundary; a resumed fit
+        reproduces the uninterrupted centroids, labels, inertia, and
+        iteration count exactly (iterations are deterministic given the
+        boundary centroids, and restart seeds are re-derived from
+        ``random_state``).
     n_jobs:
         With ``n_jobs > 1`` the ``n_init`` restarts run as parallel
         trials in forked workers, merged in restart order with the same
@@ -140,8 +135,6 @@ class KMeans(Clusterer):
         tol: float = 1e-6,
         random_state: RandomState = None,
         max_restarts: int = 0,
-        budget: Optional[Budget] = None,
-        checkpoint: Optional[Checkpointer] = None,
         ctx: Optional[ExecutionContext] = None,
         n_jobs: Optional[int] = None,
         backend: str = "full",
@@ -171,7 +164,7 @@ class KMeans(Clusterer):
         self.random_state = random_state
         self.max_restarts = int(max_restarts)
         self.n_jobs = resolve_n_jobs(n_jobs, "KMeans")
-        self._init_context(ctx, budget=budget, checkpoint=checkpoint)
+        self.ctx = ctx
         self.cluster_centers_: Optional[np.ndarray] = None
         self.inertia_: Optional[float] = None
         self.n_iter_: Optional[int] = None

@@ -18,7 +18,7 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState
-from ..runtime import Budget, BudgetExceeded, Checkpointer
+from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances
 
@@ -35,17 +35,14 @@ class PAM(Clusterer):
         Exhausting it without reaching a local optimum raises a
         :class:`ConvergenceWarning` (``max_swaps=0`` requests the BUILD
         phase only and never warns).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, charged one expansion
-        per swap scan.  On exhaustion the best medoids found so far are
-        kept and ``truncated_`` is set.
-    checkpoint:
-        Deprecated alias for ``ctx=ExecutionContext(checkpointer=...)``:
-        optional :class:`~repro.runtime.Checkpointer`.  The BUILD result
-        and every accepted swap are resumable boundaries; the swap phase
-        is a deterministic steepest descent, so a resumed fit reproduces
-        the uninterrupted medoids and cost exactly.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        charged one expansion per swap scan; on exhaustion the best
+        medoids found so far are kept and ``truncated_`` is set.  Under
+        its checkpointer the BUILD result and every accepted swap are
+        resumable boundaries; the swap phase is a deterministic steepest
+        descent, so a resumed fit reproduces the uninterrupted medoids
+        and cost exactly.
 
     Attributes
     ----------
@@ -71,15 +68,13 @@ class PAM(Clusterer):
         self,
         n_clusters: int = 8,
         max_swaps: int = 200,
-        budget: Optional[Budget] = None,
-        checkpoint: Optional[Checkpointer] = None,
         ctx: Optional[ExecutionContext] = None,
     ):
         check_in_range("n_clusters", n_clusters, 1, None)
         check_in_range("max_swaps", max_swaps, 0, None)
         self.n_clusters = int(n_clusters)
         self.max_swaps = int(max_swaps)
-        self._init_context(ctx, budget=budget, checkpoint=checkpoint)
+        self.ctx = ctx
         self.medoid_indices_: Optional[np.ndarray] = None
         self.cluster_centers_: Optional[np.ndarray] = None
         self.cost_: Optional[float] = None

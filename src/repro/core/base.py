@@ -80,26 +80,15 @@ def check_matrix(X, name: str = "X", allow_empty: bool = False) -> np.ndarray:
 class ContextAware:
     """Mixin: estimators that thread an ExecutionContext through fit.
 
-    Exposes ``self.ctx`` (lazily defaulting to a null context) and keeps
-    the historical ``self.budget`` / ``self.checkpoint`` attributes
-    alive as properties routed into the context, so existing code that
-    assigns them directly — tests resetting ``model.budget``, the CLI's
-    supervised workers installing a per-attempt checkpointer — keeps
-    working unchanged.  Constructors call :meth:`_init_context` once,
-    which also services the deprecated ``budget=`` / ``checkpoint=``
-    keyword aliases.
+    Constructors take ``ctx=`` and assign it to ``self.ctx``, which
+    defaults ``None`` to a null context.  The read-only ``budget`` /
+    ``checkpoint`` properties expose the context's slots; to swap one
+    (say, installing a per-attempt checkpointer before a supervised
+    fit), assign through ``self.ctx``.
 
     Imports from :mod:`repro.runtime` are deferred to call time because
     the runtime package itself imports this module.
     """
-
-    def _init_context(self, ctx=None, budget=None, checkpoint=None) -> None:
-        from ..runtime.context import resolve_context
-
-        self._ctx = resolve_context(
-            ctx, budget=budget, checkpoint=checkpoint,
-            owner=type(self).__name__,
-        )
 
     @property
     def ctx(self):
@@ -122,17 +111,9 @@ class ContextAware:
     def budget(self):
         return self.ctx.budget
 
-    @budget.setter
-    def budget(self, value) -> None:
-        self.ctx.budget = value
-
     @property
     def checkpoint(self):
         return self.ctx.checkpointer
-
-    @checkpoint.setter
-    def checkpoint(self, value) -> None:
-        self.ctx.checkpointer = value
 
 
 class Classifier(ContextAware):

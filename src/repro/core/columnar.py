@@ -9,16 +9,15 @@ home for those encodings, with three views:
 
 ``PackedBitmap``
     An item x transaction bit matrix packed along the transaction axis
-    (``np.packbits``), 8x smaller than the dense ``bool`` matrix the old
-    :class:`~repro.associations.bitmap.BitmapDatabase` built privately.
-    The support of an itemset is the popcount of the AND of its item
-    rows; contiguous ``begin``/``stop`` windows (the map-reduce shard
-    interface) are served through a packed window mask.
+    (``np.packbits``), 8x smaller than a dense ``bool`` matrix.  The
+    support of an itemset is the popcount of the AND of its item rows;
+    contiguous ``begin``/``stop`` windows (the map-reduce shard
+    interface) are served through a packed window mask.  apriori's and
+    dhp's ``backend="bitmap"`` count on it directly.
 
 ``PackedBitmap.tidset`` rows double as **per-item tidlist bitsets**: the
-    Eclat/partition/dhp intersection kernels are
-    ``popcount(a & b)`` over the packed rows — see :func:`intersect` and
-    :func:`popcount`.
+    partition miner's ``bitset`` joins are ``popcount(a & b)`` over the
+    packed rows — see :func:`popcount`.
 
 ``SequenceBitmap``
     An item x sequence *occurrence* matrix for GSP: bit ``s`` of item
@@ -30,8 +29,7 @@ home for those encodings, with three views:
 ``PresortedColumns`` / ``TableMatrix``
     For attribute data: one stable argsort index per numeric column
     (the SLIQ presorting invariant, built once instead of once per
-    fit) and cached dense numeric/categorical matrices for the
-    distance-based learners (k-NN, k-means restarts, naive Bayes).
+    fit) and cached dense numeric/categorical matrices of a table.
 
 Every view is **built lazily and memoized per dataset object** through
 a ``weakref.WeakKeyDictionary`` — the cache entry dies with the dataset,
@@ -71,11 +69,6 @@ except AttributeError:  # pragma: no cover - numpy < 2 fallback
 def popcount(bits: np.ndarray) -> int:
     """Number of set bits in a packed ``uint8`` bitset."""
     return int(_popcount_u8(bits).sum(dtype=np.int64))
-
-
-def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AND of two packed bitsets (the tidset-join kernel)."""
-    return a & b
 
 
 def pack_indices(indices: Iterable[int], n: int) -> np.ndarray:
@@ -302,9 +295,11 @@ class PresortedColumns:
 class TableMatrix:
     """Cached dense numeric / categorical-code matrices of a ``Table``.
 
-    The distance-based learners (k-NN, k-means trials, naive Bayes
-    likelihoods) all start by extracting the same column arrays; this
-    view extracts them once per table object.
+    Extracts the column arrays once per table object.  No learner reads
+    it: the k-NN and naive Bayes kernels that did measured no faster
+    than the scalar paths and were removed.  The view stays as one of
+    the four encodings ``repro bench`` measures, and the end-to-end
+    benchmark's tracer wraps :func:`table_matrix` by name.
     """
 
     def __init__(self, table):
@@ -396,7 +391,6 @@ __all__ = [
     "PresortedColumns",
     "TableMatrix",
     "popcount",
-    "intersect",
     "pack_indices",
     "unpack_indices",
     "window_mask",

@@ -41,7 +41,6 @@ from .context import (
     check_degradation_policy,
     derive_shard_budget,
     progress_event,
-    resolve_context,
 )
 from .faults import (
     DISK_OPS,
@@ -113,7 +112,6 @@ __all__ = [
     "Snapshottable",
     "ExecutionContext",
     "RunCounters",
-    "resolve_context",
     "check_degradation_policy",
     "progress_event",
     "BASIC_POLICIES",

@@ -13,10 +13,10 @@ into a single seam:
   the ``if checkpoint is not None:`` guards around boundary snapshots;
 * :class:`RunCounters` accumulates lightweight run statistics (steps,
   candidates, nodes, expansions, snapshots) with or without a budget —
-  the hook the observability work hangs metrics on;
-* :func:`resolve_context` keeps the deprecated ``budget=`` /
-  ``checkpoint=`` kwargs working for one release, building a context
-  from them with a :class:`DeprecationWarning`.
+  the hook the observability work hangs metrics on.
+
+``ctx=`` is the only way a run receives these services; a caller that
+passes no context gets a fresh ``ExecutionContext()``.
 
 The *null context* — ``ExecutionContext()`` with every slot ``None`` —
 is the default everywhere and is byte-identical to the pre-context bare
@@ -32,7 +32,6 @@ The degradation-policy vocabulary shared by the budget-aware miners
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.exceptions import ValidationError
@@ -348,41 +347,6 @@ def derive_shard_budget(budget: Optional[Budget]) -> Optional[Budget]:
     return Budget(**kwargs)
 
 
-def resolve_context(
-    ctx: Optional[ExecutionContext],
-    budget: Optional[Budget] = None,
-    checkpoint: Optional[Checkpointer] = None,
-    owner: str = "this algorithm",
-) -> ExecutionContext:
-    """Normalise the ``ctx`` / deprecated-kwarg surface of an algorithm.
-
-    * ``ctx`` given, no legacy kwargs → returned as-is.
-    * Legacy ``budget=`` / ``checkpoint=`` given (and no ``ctx``) → a
-      context is built from them and a :class:`DeprecationWarning` is
-      emitted naming the owner.
-    * Both given → :class:`~repro.core.exceptions.ValidationError`;
-      silently preferring one would mask a caller bug.
-    * Neither given → a fresh null context.
-    """
-    if ctx is not None and (budget is not None or checkpoint is not None):
-        raise ValidationError(
-            f"{owner} got both ctx= and the deprecated budget=/checkpoint= "
-            "kwargs; pass everything through ctx"
-        )
-    if budget is not None or checkpoint is not None:
-        warnings.warn(
-            f"the budget=/checkpoint= kwargs of {owner} are deprecated; "
-            "pass ctx=ExecutionContext(budget=..., checkpointer=...) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ExecutionContext(budget=budget, checkpointer=checkpoint)
-    if ctx is None:
-        return ExecutionContext()
-    return ctx
-
-
 __all__ = [
     "BASIC_POLICIES",
     "LEVELWISE_POLICIES",
@@ -391,5 +355,4 @@ __all__ = [
     "check_degradation_policy",
     "derive_shard_budget",
     "progress_event",
-    "resolve_context",
 ]

@@ -37,7 +37,6 @@ from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from .result import FrequentSequences
 
@@ -48,7 +47,6 @@ def apriori_all(
     db: SequenceDatabase,
     min_support: float = 0.05,
     max_length: Optional[int] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
     ctx: Optional[ExecutionContext] = None,
 ) -> FrequentSequences:
@@ -63,16 +61,17 @@ def apriori_all(
     max_length:
         Stop after patterns of this many *elements* (``None`` = mine to
         exhaustion).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget` checked once per pass of
-        every phase, charged per generated candidate, and polled
-        periodically in the counting and transformation scans.  ``None``
-        (the default) skips every check.
     on_exhausted:
         ``"raise"`` propagates :class:`~repro.runtime.BudgetExceeded`;
         ``"truncate"`` returns the patterns completed so far (decoded
         from whatever phase was reached) flagged ``truncated=True``.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        checked once per pass of every phase, charged per generated
+        candidate, and polled periodically in the counting and
+        transformation scans; the default null context skips every
+        check.  AprioriAll takes no snapshots, so a checkpointer in the
+        context is ignored.
 
     Returns
     -------
@@ -88,7 +87,8 @@ def apriori_all(
     """
     if max_length is not None and max_length < 1:
         raise ValidationError(f"max_length must be >= 1, got {max_length}")
-    ctx = resolve_context(ctx, budget=budget, owner="apriori_all")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "apriori_all")
     ctx.raise_if_cancelled()
     budget = ctx.budget

@@ -26,12 +26,11 @@ from ..core.exceptions import ValidationError
 from ..core.sequences import SequenceDatabase, SequencePattern, pattern_length
 from ..associations.apriori import checkpoint_key, min_count_from_support
 from ..associations.levelwise import run_levelwise
-from ..runtime import Budget, Checkpointer
+from ..runtime import Budget
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
 from ..runtime.transport import SharedRegion, get_object
@@ -49,9 +48,7 @@ def gsp(
     max_gap: Optional[float] = None,
     window: float = 0.0,
     times: Optional[Sequence[Sequence[float]]] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
-    checkpoint: Optional[Checkpointer] = None,
     ctx: Optional[ExecutionContext] = None,
     n_jobs: Optional[int] = None,
     backend: str = "scan",
@@ -74,23 +71,17 @@ def gsp(
         Optional per-sequence timestamp lists, aligned with the elements
         of each sequence and strictly increasing.  Defaults to element
         indices 0, 1, 2, ...
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget` checked once per pass,
-        charged per generated candidate, and checked periodically in the
-        counting scan.
     on_exhausted:
         ``"raise"`` propagates :class:`~repro.runtime.BudgetExceeded`;
         ``"truncate"`` returns the completed passes flagged
         ``truncated=True``.
-    checkpoint:
-        Deprecated alias for ``ctx=ExecutionContext(checkpointer=...)``:
-        optional :class:`~repro.runtime.Checkpointer`; every completed
-        level is a resumable boundary, exactly as in the levelwise
-        itemset miners.
     ctx:
         Optional :class:`~repro.runtime.ExecutionContext` bundling
-        budget, checkpointer, cancellation and progress hooks.
+        budget, checkpointer, cancellation and progress hooks.  Its
+        budget is checked once per pass, charged per generated
+        candidate, and checked periodically in the counting scan.  Under
+        its checkpointer every completed level is a resumable boundary,
+        exactly as in the levelwise itemset miners.
     n_jobs:
         With ``n_jobs > 1`` each pass's counting scan shards the
         sequence database across forked workers and sums the per-shard
@@ -121,8 +112,8 @@ def gsp(
         raise ValidationError(
             f"backend must be one of {COUNT_BACKENDS}, got {backend!r}"
         )
-    ctx = resolve_context(ctx, budget=budget, checkpoint=checkpoint,
-                          owner="gsp")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "gsp")
     n_jobs = resolve_n_jobs(n_jobs, "gsp")
     ctx.raise_if_cancelled()

@@ -31,7 +31,6 @@ from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
-    resolve_context,
 )
 from .result import FrequentSequences
 
@@ -44,7 +43,6 @@ def prefixspan(
     db: SequenceDatabase,
     min_support: float = 0.05,
     max_length: Optional[int] = None,
-    budget: Optional[Budget] = None,
     on_exhausted: str = "raise",
     ctx: Optional[ExecutionContext] = None,
 ) -> FrequentSequences:
@@ -59,16 +57,16 @@ def prefixspan(
     max_length:
         Stop after patterns with this many *items* in total (matching
         GSP's notion of length).
-    budget:
-        Deprecated alias for ``ctx=ExecutionContext(budget=...)``:
-        optional :class:`~repro.runtime.Budget`, checked at every
-        pattern-growth step and charged one candidate per attempted
-        extension.  ``None`` (the default) skips every check.
     on_exhausted:
         ``"raise"`` propagates :class:`~repro.runtime.BudgetExceeded`;
         ``"truncate"`` returns the patterns emitted so far flagged
         ``truncated=True`` (every emitted pattern is genuinely frequent,
         so truncation can only lose patterns).
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`.  Its budget is
+        checked at every pattern-growth step and charged one candidate
+        per attempted extension; the default null context skips every
+        check.
 
     Returns
     -------
@@ -83,7 +81,8 @@ def prefixspan(
     """
     if max_length is not None and max_length < 1:
         raise ValidationError(f"max_length must be >= 1, got {max_length}")
-    ctx = resolve_context(ctx, budget=budget, owner="prefixspan")
+    if ctx is None:
+        ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "prefixspan")
     ctx.raise_if_cancelled()
     budget = ctx.budget

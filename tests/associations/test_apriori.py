@@ -36,8 +36,8 @@ class TestApriori:
             assert got == want
 
     def test_dict_store_matches_hash_tree(self, medium_db):
-        a = apriori(medium_db, 0.05, candidate_store="hash_tree").supports
-        b = apriori(medium_db, 0.05, candidate_store="dict").supports
+        a = apriori(medium_db, 0.05, backend="hash_tree").supports
+        b = apriori(medium_db, 0.05, backend="dict").supports
         assert a == b
 
     def test_max_size_caps_output(self, medium_db):
@@ -66,7 +66,7 @@ class TestApriori:
 
     def test_invalid_candidate_store(self, small_db):
         with pytest.raises(ValidationError):
-            apriori(small_db, 0.1, candidate_store="magic")
+            apriori(small_db, 0.1, backend="magic")
 
     def test_invalid_max_size(self, small_db):
         with pytest.raises(ValidationError):

@@ -1,7 +1,9 @@
-"""BitmapDatabase contract: windowed counting and degenerate inputs.
+"""Transaction-bitmap contract: windowed counting and degenerate inputs.
 
-Regression coverage for the bugs fixed alongside the columnar data
-plane: ``frequent()`` used to ignore its ``begin``/``stop`` window
+apriori's and dhp's ``backend="bitmap"`` count on the memoized
+:class:`~repro.core.columnar.PackedBitmap` of the database.  Regression
+coverage for the bugs fixed alongside the columnar data plane:
+``frequent()`` used to ignore its ``begin``/``stop`` window
 (thresholding full-database counts inside a shard), and empty candidate
 lists / all-empty-transaction databases tripped ``np.packbits`` shape
 handling.
@@ -9,8 +11,8 @@ handling.
 
 import pytest
 
-from repro.associations.bitmap import BitmapDatabase
 from repro.core import TransactionDatabase
+from repro.core.columnar import transaction_bitmap
 
 
 @pytest.fixture
@@ -21,7 +23,7 @@ def db():
 
 
 def test_frequent_honours_window(db):
-    bitmap = BitmapDatabase(db)
+    bitmap = transaction_bitmap(db)
     # (0, 1) appears in transactions 0, 1, 4: full support 3, but only
     # twice inside [0, 3).  The old implementation thresholded the full
     # count, returning {(0, 1): 3} for min_count=3 even in the window.
@@ -33,20 +35,20 @@ def test_frequent_honours_window(db):
 
 
 def test_windowed_frequent_reports_window_counts(db):
-    bitmap = BitmapDatabase(db)
+    bitmap = transaction_bitmap(db)
     out = bitmap.frequent([(0,), (1,), (2,)], min_count=1, begin=3, stop=6)
     assert out == {(0,): 1, (1,): 2, (2,): 2}
 
 
 def test_empty_candidate_list(db):
-    bitmap = BitmapDatabase(db)
+    bitmap = transaction_bitmap(db)
     assert bitmap.count([]) == []
     assert bitmap.frequent([], min_count=1) == {}
 
 
 def test_all_empty_transactions():
     db = TransactionDatabase([(), (), (), ()])
-    bitmap = BitmapDatabase(db)
+    bitmap = transaction_bitmap(db)
     assert bitmap.n_transactions == 4
     assert bitmap.count([]) == []
     assert bitmap.count([()]) == [4]
@@ -56,10 +58,12 @@ def test_all_empty_transactions():
 
 def test_empty_database():
     db = TransactionDatabase([])
-    bitmap = BitmapDatabase(db)
+    bitmap = transaction_bitmap(db)
     assert bitmap.count([()]) == [0]
     assert bitmap.frequent([()], min_count=1) == {}
 
 
 def test_shared_encoding_across_wrappers(db):
-    assert BitmapDatabase(db).packed is BitmapDatabase(db).packed
+    # Every counting pass of a run looks the encoding up again; each
+    # lookup must return the one memoized matrix, not a rebuild.
+    assert transaction_bitmap(db) is transaction_bitmap(db)

@@ -6,7 +6,7 @@ Three contracts the shared columnar data plane promises:
   same supports, same model, same bytes — for any input, at any
   ``n_jobs``;
 * a budget exhausted mid-kernel degrades exactly like the scalar path
-  (same truncation point, same partial result, same exception class);
+  (same truncation point, same partial result);
 * memoized encodings are keyed on dataset identity and can never leak
   between two distinct dataset objects, even with equal content.
 """
@@ -18,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.associations import dhp, eclat, partition_miner
-from repro.classification import KNN, SLIQ, NaiveBayes
+from repro.associations import apriori, dhp, partition_miner
+from repro.classification import SLIQ
 from repro.clustering import KMeans
 from repro.core import SequenceDatabase, TransactionDatabase
 from repro.core.columnar import sequence_bitmap, transaction_bitmap
 from repro.datasets import agrawal, gaussian_blobs, quest_basket
-from repro.runtime import Budget, ExecutionContext, SpaceBudgetExceeded
+from repro.runtime import Budget, ExecutionContext
 from repro.sequences import gsp
 
 transactions = st.lists(
@@ -57,10 +57,10 @@ def _mine_fingerprint(result) -> bytes:
 # ----------------------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(transactions, supports)
-def test_eclat_bitset_identical_for_any_input(txns, min_support):
+def test_apriori_bitmap_identical_for_any_input(txns, min_support):
     db = TransactionDatabase(txns)
-    scalar = eclat(db, min_support)
-    vector = eclat(db, min_support, backend="bitset")
+    scalar = apriori(db, min_support)
+    vector = apriori(db, min_support, backend="bitmap")
     assert _mine_fingerprint(vector) == _mine_fingerprint(scalar)
 
 
@@ -139,35 +139,9 @@ def test_sliq_columnar_identical_trees(function, seed):
     assert tuple(columnar.predict(table)) == tuple(scan.predict(table))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_nb_and_knn_columnar_identical_probas(seed):
-    train = agrawal(300, function=2, noise=0.05, random_state=seed)
-    test = agrawal(120, function=2, noise=0.0, random_state=seed + 100)
-    nb_scan = NaiveBayes().fit(train, "group")
-    nb_col = NaiveBayes(backend="columnar").fit(train, "group")
-    assert nb_col.predict_proba(test).tobytes() == \
-        nb_scan.predict_proba(test).tobytes()
-    knn_scan = KNN(n_neighbors=5).fit(train, "group")
-    knn_col = KNN(n_neighbors=5, backend="columnar").fit(train, "group")
-    assert knn_col.predict_proba(test).tobytes() == \
-        knn_scan.predict_proba(test).tobytes()
-
-
 # ----------------------------------------------------------------------
 # Budget exhaustion mid-kernel degrades identically
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("limit", [5, 20, 80])
-def test_eclat_truncates_at_same_point(basket, limit):
-    def run(backend):
-        ctx = ExecutionContext(budget=Budget(max_candidates=limit))
-        return eclat(basket, 0.05, ctx=ctx, on_exhausted="truncate",
-                     backend=backend)
-
-    scalar, vector = run("tidset"), run("bitset")
-    assert scalar.truncated and vector.truncated
-    assert _mine_fingerprint(vector) == _mine_fingerprint(scalar)
-
-
 @pytest.mark.parametrize("limit", [5, 40])
 def test_partition_truncates_at_same_point(basket, limit):
     def run(backend):
@@ -177,13 +151,6 @@ def test_partition_truncates_at_same_point(basket, limit):
 
     assert _mine_fingerprint(run("bitset")) == \
         _mine_fingerprint(run("tidset"))
-
-
-def test_eclat_raise_policy_raises_in_both_backends(basket):
-    for backend in ("tidset", "bitset"):
-        ctx = ExecutionContext(budget=Budget(max_candidates=5))
-        with pytest.raises(SpaceBudgetExceeded):
-            eclat(basket, 0.05, ctx=ctx, backend=backend)
 
 
 @pytest.mark.parametrize("limit", [10, 60])

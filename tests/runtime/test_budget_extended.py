@@ -20,6 +20,7 @@ from repro.runtime import (
     Budget,
     BudgetExceeded,
     CancellationToken,
+    ExecutionContext,
     OperationCancelled,
     TriggerAfter,
 )
@@ -85,19 +86,27 @@ class TestMiners:
     @pytest.mark.parametrize("name", sorted(MINERS))
     def test_injected_fault_surfaces(self, name, small_db):
         with pytest.raises(BudgetExceeded):
-            self.MINERS[name](small_db, budget=_first_check_fault())
+            self.MINERS[name](
+                small_db, ctx=ExecutionContext(budget=_first_check_fault())
+            )
 
     @pytest.mark.parametrize("name", sorted(SEQ_MINERS))
     def test_injected_fault_surfaces_sequences(self, name, small_seq_db):
         with pytest.raises(BudgetExceeded):
-            self.SEQ_MINERS[name](small_seq_db, budget=_first_check_fault())
+            self.SEQ_MINERS[name](
+                small_seq_db,
+                ctx=ExecutionContext(budget=_first_check_fault()),
+            )
 
     @pytest.mark.parametrize("name", sorted(MINERS))
     def test_generous_budget_identical(self, name, medium_db):
         run = self.MINERS[name]
         full = run(medium_db)
         budgeted = run(
-            medium_db, budget=Budget(max_candidates=10**9, check_interval=1)
+            medium_db,
+            ctx=ExecutionContext(
+                budget=Budget(max_candidates=10**9, check_interval=1)
+            ),
         )
         assert budgeted.supports == full.supports
         assert not budgeted.truncated
@@ -107,7 +116,9 @@ class TestMiners:
         full = self.SEQ_MINERS[name](medium_seq_db)
         budgeted = self.SEQ_MINERS[name](
             medium_seq_db,
-            budget=Budget(max_candidates=10**9, check_interval=1),
+            ctx=ExecutionContext(
+                budget=Budget(max_candidates=10**9, check_interval=1)
+            ),
         )
         assert budgeted.supports == full.supports
 
@@ -117,11 +128,11 @@ class TestMiners:
         full = run(medium_db)
         # Pick a cap that bites partway through the run.
         probe = Budget(check_interval=1)
-        run(medium_db, budget=probe)
+        run(medium_db, ctx=ExecutionContext(budget=probe))
         cap = max(1, probe.candidates_used // 3)
         result = run(
             medium_db,
-            budget=Budget(max_candidates=cap),
+            ctx=ExecutionContext(budget=Budget(max_candidates=cap)),
             on_exhausted="truncate",
         )
         assert result.truncated
@@ -139,13 +150,13 @@ class TestMiners:
         run = self.SEQ_MINERS[name]
         full = run(medium_seq_db, s=0.15)
         probe = Budget(check_interval=1)
-        run(medium_seq_db, s=0.15, budget=probe)
+        run(medium_seq_db, s=0.15, ctx=ExecutionContext(budget=probe))
         assert probe.candidates_used >= 3
         cap = probe.candidates_used // 3
         result = run(
             medium_seq_db,
             s=0.15,
-            budget=Budget(max_candidates=cap),
+            ctx=ExecutionContext(budget=Budget(max_candidates=cap)),
             on_exhausted="truncate",
         )
         assert result.truncated
@@ -156,7 +167,9 @@ class TestMiners:
     def test_cancellation_propagates(self, name, small_db):
         with pytest.raises(OperationCancelled):
             self.MINERS[name](
-                small_db, budget=_cancelled_budget(), on_exhausted="truncate"
+                small_db,
+                ctx=ExecutionContext(budget=_cancelled_budget()),
+                on_exhausted="truncate",
             )
 
     @pytest.mark.parametrize("name", sorted(SEQ_MINERS))
@@ -164,14 +177,16 @@ class TestMiners:
         with pytest.raises(OperationCancelled):
             self.SEQ_MINERS[name](
                 small_seq_db,
-                budget=_cancelled_budget(),
+                ctx=ExecutionContext(budget=_cancelled_budget()),
                 on_exhausted="truncate",
             )
 
 
 class TestAgglomerative:
     def test_injected_fault_truncates(self, X):
-        model = Agglomerative(3, budget=_first_check_fault()).fit(X)
+        model = Agglomerative(
+            3, ctx=ExecutionContext(budget=_first_check_fault())
+        ).fit(X)
         assert model.truncated_
         assert model.truncation_reason_
         # Best-effort labels: everything is still labelled, at the
@@ -181,7 +196,8 @@ class TestAgglomerative:
     def test_partial_dendrogram_is_prefix(self, X):
         full = Agglomerative(3, linkage="average").fit(X)
         cut = Agglomerative(
-            3, linkage="average", budget=Budget(max_expansions=20)
+            3, linkage="average",
+            ctx=ExecutionContext(budget=Budget(max_expansions=20)),
         ).fit(X)
         assert cut.truncated_
         assert len(cut.merges_) == 20
@@ -190,7 +206,8 @@ class TestAgglomerative:
     def test_generous_budget_identical(self, X):
         full = Agglomerative(3, linkage="ward").fit(X)
         budgeted = Agglomerative(
-            3, linkage="ward", budget=Budget(max_expansions=10**9)
+            3, linkage="ward",
+            ctx=ExecutionContext(budget=Budget(max_expansions=10**9)),
         ).fit(X)
         assert not budgeted.truncated_
         assert np.array_equal(budgeted.labels_, full.labels_)
@@ -198,14 +215,16 @@ class TestAgglomerative:
 
     def test_cancellation_propagates(self, X):
         with pytest.raises(OperationCancelled):
-            Agglomerative(3, budget=_cancelled_budget()).fit(X)
+            Agglomerative(
+                3, ctx=ExecutionContext(budget=_cancelled_budget())
+            ).fit(X)
 
 
 class TestBirch:
     def test_injected_fault_truncates(self, X):
         model = Birch(
             threshold=1.0, n_clusters=3, random_state=0,
-            budget=_first_check_fault(),
+            ctx=ExecutionContext(budget=_first_check_fault()),
         ).fit(X)
         assert model.truncated_
         assert model.truncation_reason_
@@ -217,7 +236,7 @@ class TestBirch:
     def test_scan_cap_bounds_tree(self, X):
         model = Birch(
             threshold=1.0, n_clusters=3, random_state=0,
-            budget=Budget(max_nodes=25),
+            ctx=ExecutionContext(budget=Budget(max_nodes=25)),
         ).fit(X)
         assert model.truncated_
         # The budget is charged after each insert, so the scan stops
@@ -229,7 +248,9 @@ class TestBirch:
         full = Birch(threshold=1.0, n_clusters=3, random_state=0).fit(X)
         budgeted = Birch(
             threshold=1.0, n_clusters=3, random_state=0,
-            budget=Budget(max_nodes=10**9, check_interval=1),
+            ctx=ExecutionContext(
+                budget=Budget(max_nodes=10**9, check_interval=1)
+            ),
         ).fit(X)
         assert not budgeted.truncated_
         assert np.array_equal(budgeted.labels_, full.labels_)
@@ -240,5 +261,6 @@ class TestBirch:
     def test_cancellation_propagates(self, X):
         with pytest.raises(OperationCancelled):
             Birch(
-                threshold=1.0, n_clusters=3, budget=_cancelled_budget()
+                threshold=1.0, n_clusters=3,
+                ctx=ExecutionContext(budget=_cancelled_budget()),
             ).fit(X)

@@ -2,8 +2,8 @@
 
 The contract under test:
 
-* ``budget=None`` (the default) is byte-identical to a build without the
-  runtime layer — zero checks, zero behavioural drift;
+* a context without a budget (the default) is byte-identical to a build
+  without the runtime layer — zero checks, zero behavioural drift;
 * ``truncate`` returns everything completed before exhaustion, flagged;
 * ``partition`` / ``sampling`` re-mine the interrupted pass with a
   cheaper one-shot miner, so the recovered result supersets plain
@@ -20,7 +20,7 @@ from repro.associations.apriori import apriori
 from repro.classification import C45
 from repro.clustering import KMeans
 from repro.core.exceptions import ConvergenceWarning, ValidationError
-from repro.runtime import Budget, TriggerAfter
+from repro.runtime import Budget, ExecutionContext, TriggerAfter
 from repro.runtime.context import LEVELWISE_POLICIES
 from repro.cli import main
 
@@ -32,14 +32,18 @@ def _fault_budget(n_checks: int = 2) -> Budget:
 class TestMinerDegradation:
     def test_unbudgeted_result_identical(self, medium_db):
         plain = apriori(medium_db, 0.05)
-        defaulted = apriori(medium_db, 0.05, budget=None, on_exhausted="raise")
+        defaulted = apriori(
+            medium_db, 0.05, ctx=ExecutionContext(), on_exhausted="raise"
+        )
         assert plain.supports == defaulted.supports
         assert not plain.truncated
 
     def test_truncate_keeps_completed_passes(self, medium_db):
         full = apriori(medium_db, 0.05)
         partial = apriori(
-            medium_db, 0.05, budget=_fault_budget(2), on_exhausted="truncate"
+            medium_db, 0.05,
+            ctx=ExecutionContext(budget=_fault_budget(2)),
+            on_exhausted="truncate",
         )
         assert partial.truncated
         assert set(partial.supports) <= set(full.supports)
@@ -50,10 +54,14 @@ class TestMinerDegradation:
     @pytest.mark.parametrize("policy", ["partition", "sampling"])
     def test_fallback_policies_recover_more(self, medium_db, policy):
         truncated = apriori(
-            medium_db, 0.05, budget=_fault_budget(2), on_exhausted="truncate"
+            medium_db, 0.05,
+            ctx=ExecutionContext(budget=_fault_budget(2)),
+            on_exhausted="truncate",
         )
         recovered = apriori(
-            medium_db, 0.05, budget=_fault_budget(2), on_exhausted=policy
+            medium_db, 0.05,
+            ctx=ExecutionContext(budget=_fault_budget(2)),
+            on_exhausted=policy,
         )
         full = apriori(medium_db, 0.05)
         assert recovered.truncated  # deeper passes are still unexplored
@@ -69,7 +77,9 @@ class TestMinerDegradation:
 
     def test_truncation_reason_names_the_exception(self, medium_db):
         partial = apriori(
-            medium_db, 0.05, budget=_fault_budget(1), on_exhausted="truncate"
+            medium_db, 0.05,
+            ctx=ExecutionContext(budget=_fault_budget(1)),
+            on_exhausted="truncate",
         )
         assert partial.truncated
         assert "InjectedFault" in partial.truncation_reason
@@ -77,10 +87,12 @@ class TestMinerDegradation:
 
 class TestEstimatorDegradation:
     def test_tree_truncation_resets_between_fits(self, f2_train):
-        model = C45(prune=False, budget=Budget(max_nodes=1))
+        model = C45(
+            prune=False, ctx=ExecutionContext(budget=Budget(max_nodes=1))
+        )
         model.fit(f2_train, "group")
         assert model.truncated_
-        model.budget = None
+        model.ctx.budget = None
         model.fit(f2_train, "group")
         assert not model.truncated_
         assert model.truncation_reason_ is None
@@ -100,7 +112,10 @@ class TestEstimatorDegradation:
         # Truncation is reported through truncated_, not mislabelled as
         # a convergence failure.
         X, _ = blobs4
-        model = KMeans(4, random_state=0, budget=Budget(max_expansions=1))
+        model = KMeans(
+            4, random_state=0,
+            ctx=ExecutionContext(budget=Budget(max_expansions=1)),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             model.fit(X)

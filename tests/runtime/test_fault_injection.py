@@ -32,6 +32,7 @@ from repro.runtime import (
     Budget,
     BudgetExceeded,
     CancellationToken,
+    ExecutionContext,
     OperationCancelled,
     SlowPass,
     TimeBudgetExceeded,
@@ -57,13 +58,19 @@ class TestLevelwiseMiners:
     def test_injected_fault_raises_in_raise_mode(self, medium_db, name):
         miner = LEVELWISE_MINERS[name]
         with pytest.raises(BudgetExceeded):
-            miner(medium_db, 0.05, budget=_fault_budget(), on_exhausted="raise")
+            miner(
+                medium_db, 0.05,
+                ctx=ExecutionContext(budget=_fault_budget()),
+                on_exhausted="raise",
+            )
 
     @pytest.mark.parametrize("name", sorted(LEVELWISE_MINERS))
     def test_injected_fault_truncates(self, medium_db, name):
         miner = LEVELWISE_MINERS[name]
         result = miner(
-            medium_db, 0.05, budget=_fault_budget(), on_exhausted="truncate"
+            medium_db, 0.05,
+            ctx=ExecutionContext(budget=_fault_budget()),
+            on_exhausted="truncate",
         )
         assert result.truncated
         assert result.truncation_reason is not None
@@ -80,7 +87,10 @@ class TestLevelwiseMiners:
             time_limit=1.0, clock=clock, check_interval=1
         ).install_fault(SlowPass(clock, delay=0.3))
         with pytest.raises(TimeBudgetExceeded):
-            miner(medium_db, 0.05, budget=budget, on_exhausted="raise")
+            miner(
+                medium_db, 0.05,
+                ctx=ExecutionContext(budget=budget), on_exhausted="raise",
+            )
 
     @pytest.mark.parametrize("name", sorted(LEVELWISE_MINERS))
     def test_cancellation_not_swallowed_by_truncate(self, medium_db, name):
@@ -89,7 +99,10 @@ class TestLevelwiseMiners:
         token.cancel("stop now")
         budget = Budget(cancel_token=token, check_interval=1)
         with pytest.raises(OperationCancelled):
-            miner(medium_db, 0.05, budget=budget, on_exhausted="truncate")
+            miner(
+                medium_db, 0.05,
+                ctx=ExecutionContext(budget=budget), on_exhausted="truncate",
+            )
 
     def test_real_deadline_finishes_promptly(self):
         # A dense low-support workload that would otherwise mine for a
@@ -100,7 +113,8 @@ class TestLevelwiseMiners:
         deadline = 0.1
         start = time.monotonic()
         result = apriori(
-            db, 0.001, budget=Budget(time_limit=deadline),
+            db, 0.001,
+            ctx=ExecutionContext(budget=Budget(time_limit=deadline)),
             on_exhausted="truncate",
         )
         elapsed = time.monotonic() - start
@@ -111,7 +125,9 @@ class TestLevelwiseMiners:
 class TestFPGrowth:
     def test_injected_fault_truncates(self, medium_db):
         result = fp_growth(
-            medium_db, 0.05, budget=_fault_budget(3), on_exhausted="truncate"
+            medium_db, 0.05,
+            ctx=ExecutionContext(budget=_fault_budget(3)),
+            on_exhausted="truncate",
         )
         assert result.truncated
         full = fp_growth(medium_db, 0.05)
@@ -119,20 +135,27 @@ class TestFPGrowth:
 
     def test_injected_fault_raises(self, medium_db):
         with pytest.raises(BudgetExceeded):
-            fp_growth(medium_db, 0.05, budget=_fault_budget(3))
+            fp_growth(
+                medium_db, 0.05, ctx=ExecutionContext(budget=_fault_budget(3))
+            )
 
     def test_cancellation_propagates(self, medium_db):
         token = CancellationToken()
         token.cancel()
         budget = Budget(cancel_token=token, check_interval=1)
         with pytest.raises(OperationCancelled):
-            fp_growth(medium_db, 0.05, budget=budget, on_exhausted="truncate")
+            fp_growth(
+                medium_db, 0.05,
+                ctx=ExecutionContext(budget=budget), on_exhausted="truncate",
+            )
 
 
 class TestGSP:
     def test_injected_fault_truncates(self, medium_seq_db):
         result = gsp(
-            medium_seq_db, 0.1, budget=_fault_budget(2), on_exhausted="truncate"
+            medium_seq_db, 0.1,
+            ctx=ExecutionContext(budget=_fault_budget(2)),
+            on_exhausted="truncate",
         )
         assert result.truncated
         full = gsp(medium_seq_db, 0.1)
@@ -140,16 +163,19 @@ class TestGSP:
 
     def test_injected_fault_raises(self, medium_seq_db):
         with pytest.raises(BudgetExceeded):
-            gsp(medium_seq_db, 0.1, budget=_fault_budget(2))
+            gsp(
+                medium_seq_db, 0.1,
+                ctx=ExecutionContext(budget=_fault_budget(2)),
+            )
 
 
 class TestTreeGrowers:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda b: C45(prune=False, budget=b),
-            lambda b: CART(budget=b),
-            lambda b: SLIQ(budget=b),
+            lambda b: C45(prune=False, ctx=ExecutionContext(budget=b)),
+            lambda b: CART(ctx=ExecutionContext(budget=b)),
+            lambda b: SLIQ(ctx=ExecutionContext(budget=b)),
         ],
         ids=["c45", "cart", "sliq"],
     )
@@ -170,7 +196,10 @@ class TestTreeGrowers:
         token = CancellationToken()
         token.cancel()
         model = C45(
-            prune=False, budget=Budget(cancel_token=token, check_interval=1)
+            prune=False,
+            ctx=ExecutionContext(
+                budget=Budget(cancel_token=token, check_interval=1)
+            ),
         )
         with pytest.raises(OperationCancelled):
             model.fit(f2_train, "group")
@@ -179,7 +208,10 @@ class TestTreeGrowers:
 class TestClusterers:
     def test_kmeans_expansion_budget(self, blobs4):
         X, _ = blobs4
-        model = KMeans(4, random_state=0, budget=Budget(max_expansions=2))
+        model = KMeans(
+            4, random_state=0,
+            ctx=ExecutionContext(budget=Budget(max_expansions=2)),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             model.fit(X)
@@ -189,21 +221,27 @@ class TestClusterers:
 
     def test_pam_expansion_budget(self, blobs4):
         X, _ = blobs4
-        model = PAM(4, budget=Budget(max_expansions=1)).fit(X)
+        model = PAM(
+            4, ctx=ExecutionContext(budget=Budget(max_expansions=1))
+        ).fit(X)
         assert model.truncated_
         assert len(model.medoid_indices_) == 4
 
     def test_clarans_expansion_budget(self, blobs4):
         X, _ = blobs4
         model = CLARANS(
-            4, random_state=0, budget=Budget(max_expansions=10)
+            4, random_state=0,
+            ctx=ExecutionContext(budget=Budget(max_expansions=10)),
         ).fit(X)
         assert model.truncated_
         assert len(model.medoid_indices_) == 4
 
     def test_dbscan_expansion_budget(self, blobs4):
         X, _ = blobs4
-        model = DBSCAN(eps=1.0, min_samples=4, budget=Budget(max_expansions=5))
+        model = DBSCAN(
+            eps=1.0, min_samples=4,
+            ctx=ExecutionContext(budget=Budget(max_expansions=5)),
+        )
         with pytest.warns(ConvergenceWarning):
             model.fit(X)
         assert model.truncated_
@@ -216,7 +254,7 @@ class TestClusterers:
         budget = Budget(
             time_limit=1.0, clock=clock, check_interval=1
         ).install_fault(SlowPass(clock, delay=0.6))
-        model = KMeans(4, random_state=0, budget=budget)
+        model = KMeans(4, random_state=0, ctx=ExecutionContext(budget=budget))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             model.fit(X)
@@ -229,4 +267,6 @@ class TestClusterers:
         token.cancel()
         budget = Budget(cancel_token=token, check_interval=1)
         with pytest.raises(OperationCancelled):
-            DBSCAN(eps=1.0, min_samples=4, budget=budget).fit(X)
+            DBSCAN(
+                eps=1.0, min_samples=4, ctx=ExecutionContext(budget=budget)
+            ).fit(X)

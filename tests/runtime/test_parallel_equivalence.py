@@ -20,9 +20,9 @@ import time
 import pytest
 
 from repro.associations import apriori, dhp, partition_miner
-from repro.associations.bitmap import BitmapDatabase
 from repro.classification import NaiveBayes
 from repro.clustering import CLARA, KMeans
+from repro.core.columnar import transaction_bitmap
 from repro.core.exceptions import ValidationError
 from repro.datasets import (
     agrawal,
@@ -71,7 +71,7 @@ def test_partition_equivalence(basket, n_jobs):
 @pytest.mark.parametrize("store", ["hash_tree", "dict", "bitmap"])
 def test_apriori_equivalence(basket, store, n_jobs):
     serial = apriori(basket, 0.02)
-    other = apriori(basket, 0.02, candidate_store=store, n_jobs=n_jobs)
+    other = apriori(basket, 0.02, backend=store, n_jobs=n_jobs)
     assert _fingerprint(other) == _fingerprint(serial)
 
 
@@ -124,7 +124,7 @@ def test_crossval_equivalence(n_jobs):
 
 
 def test_bitmap_counts_match_reference(basket):
-    bitmap = BitmapDatabase(basket)
+    bitmap = transaction_bitmap(basket)
     candidates = [(1, 2), (3,), (0, 1, 2)]
     expected = [
         sum(1 for txn in basket if set(cand) <= set(txn))

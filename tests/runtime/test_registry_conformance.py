@@ -12,10 +12,12 @@ these contracts —
 * **policy validation**: an ``on_exhausted`` value outside the declared
   ``degradation_policies`` is rejected, and the declared set stays
   inside the shared vocabulary;
-* **deprecated kwargs**: the legacy ``budget=`` alias still works but
-  emits a :class:`DeprecationWarning`, and mixing it with ``ctx=`` is
-  an error.
+* **one runtime seam**: ``ctx=`` is the only way a run receives its
+  budget and checkpointer — no entry point has a ``budget`` or
+  ``checkpoint`` parameter, and passing either is a ``TypeError``.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ import pytest
 from repro import registry
 from repro.core.exceptions import ValidationError
 from repro.datasets import gaussian_blobs, play_tennis
-from repro.runtime import Budget, CancellationToken, OperationCancelled
+from repro.runtime import (
+    Budget,
+    CancellationToken,
+    Checkpointer,
+    OperationCancelled,
+)
 from repro.runtime.context import (
     BASIC_POLICIES,
     LEVELWISE_POLICIES,
@@ -38,14 +45,7 @@ def _spec_id(spec):
     return f"{spec.family}:{spec.name}"
 
 
-MINER_SPECS = [
-    s for s in ALL_SPECS if s.family in ("associations", "sequences")
-]
 POLICY_SPECS = [s for s in ALL_SPECS if s.capabilities.degradation_policies]
-TREE_SPECS = [
-    s for s in ALL_SPECS
-    if s.family == "classification" and s.capabilities.budget_resource
-]
 
 
 @pytest.fixture
@@ -146,36 +146,39 @@ def test_undeclared_policy_rejected(spec, workloads):
         _run(spec, workloads, on_exhausted="no-such-policy")
 
 
-@pytest.mark.parametrize("spec", MINER_SPECS, ids=_spec_id)
-class TestMinerDeprecatedKwargs:
-    def test_budget_kwarg_warns_but_works(self, spec, workloads):
-        db = workloads[spec.family]
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result = spec.factory(db, 0.4, budget=Budget())
-        assert dict(result.supports) == _run(spec, workloads)
+def _runtime_entry_points():
+    """Every registered factory plus the unregistered public miners and
+    clusterers, as ``(id, family, factory)``."""
+    from repro.associations import apriori_hybrid, sampling_miner
+    from repro.clustering import CLARA
 
-    def test_ctx_plus_legacy_kwarg_is_an_error(self, spec, workloads):
-        db = workloads[spec.family]
-        with pytest.raises(ValidationError, match="deprecated"):
-            spec.factory(db, 0.4, ctx=ExecutionContext(), budget=Budget())
-
-
-@pytest.mark.parametrize("spec", TREE_SPECS, ids=_spec_id)
-def test_tree_budget_kwarg_warns_but_works(spec, workloads):
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        model = spec.factory(budget=Budget())
-    model.fit(workloads["table"], "play")
-    assert tuple(model.predict(workloads["table"])) == _run(spec, workloads)
+    entries = [(_spec_id(s), s.family, s.factory) for s in ALL_SPECS]
+    entries += [
+        ("associations:apriori_hybrid", "associations", apriori_hybrid),
+        ("associations:sampling_miner", "associations", sampling_miner),
+        ("clustering:CLARA", "clustering", CLARA),
+    ]
+    return entries
 
 
-def test_clusterer_budget_kwarg_warns_but_works(workloads):
-    from repro.clustering import KMeans
+RUNTIME_ENTRY_POINTS = _runtime_entry_points()
 
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        model = KMeans(3, random_state=0, budget=Budget())
-    labels = tuple(model.fit_predict(workloads["X"]).tolist())
-    spec = registry.get("clustering", "kmeans")
-    assert labels == _run(spec, workloads)
+
+@pytest.mark.parametrize(
+    "family, factory",
+    [entry[1:] for entry in RUNTIME_ENTRY_POINTS],
+    ids=[entry[0] for entry in RUNTIME_ENTRY_POINTS],
+)
+def test_no_budget_or_checkpoint_kwarg(family, factory, workloads,
+                                       tmp_path):
+    parameters = inspect.signature(factory).parameters
+    assert "budget" not in parameters
+    assert "checkpoint" not in parameters
+    args = (workloads[family], 0.4) if family in workloads else ()
+    for kwarg, value in (("budget", Budget()),
+                         ("checkpoint", Checkpointer(tmp_path))):
+        with pytest.raises(TypeError, match=f"keyword argument '{kwarg}'"):
+            factory(*args, **{kwarg: value})
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +191,11 @@ CLI_SPECS = [
 
 #: vectorized backend name of every vectorizable algorithm
 VECTOR_BACKEND = {
-    "eclat": "bitset",
+    "apriori": "bitmap",
     "partition": "bitset",
     "dhp": "bitmap",
     "gsp": "bitmap",
     "sliq": "columnar",
-    "nb": "columnar",
-    "knn": "columnar",
     "kmeans": "elkan",
 }
 
@@ -250,11 +251,7 @@ def test_backend_flag_tracks_vectorizable_capability(spec, cli_data, capsys):
         assert "does not support --backend" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [s for s in CLI_SPECS if s.capabilities.vectorizable],
-    ids=_spec_id,
-)
+@pytest.mark.parametrize("spec", CLI_SPECS, ids=_spec_id)
 def test_unknown_backend_value_exits_2(spec, cli_data, capsys):
     from repro.cli import main
 

@@ -25,6 +25,7 @@ from repro.runtime import (
     BudgetExceeded,
     CheckpointMismatch,
     Checkpointer,
+    ExecutionContext,
     OperationCancelled,
     TriggerAfter,
 )
@@ -64,7 +65,10 @@ class TestMinerResume:
         expected = apriori(small_db, 0.3)
 
         def run(budget, checkpoint):
-            return apriori(small_db, 0.3, budget=budget, checkpoint=checkpoint)
+            return apriori(
+                small_db, 0.3,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
+            )
 
         _sweep_miner(run, tmp_path, expected.supports)
 
@@ -73,7 +77,8 @@ class TestMinerResume:
 
         def run(budget, checkpoint):
             return apriori_tid(
-                small_db, 0.3, budget=budget, checkpoint=checkpoint
+                small_db, 0.3,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         _sweep_miner(run, tmp_path, expected.supports)
@@ -82,7 +87,10 @@ class TestMinerResume:
         expected = dhp(small_db, 0.3)
 
         def run(budget, checkpoint):
-            return dhp(small_db, 0.3, budget=budget, checkpoint=checkpoint)
+            return dhp(
+                small_db, 0.3,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
+            )
 
         _sweep_miner(run, tmp_path, expected.supports)
 
@@ -90,7 +98,10 @@ class TestMinerResume:
         expected = eclat(small_db, 0.3)
 
         def run(budget, checkpoint):
-            return eclat(small_db, 0.3, budget=budget, checkpoint=checkpoint)
+            return eclat(
+                small_db, 0.3,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
+            )
 
         _sweep_miner(run, tmp_path, expected.supports)
 
@@ -100,7 +111,7 @@ class TestMinerResume:
         def run(budget, checkpoint):
             return partition_miner(
                 small_db, 0.3, n_partitions=2,
-                budget=budget, checkpoint=checkpoint,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         _sweep_miner(run, tmp_path, expected.supports)
@@ -110,7 +121,8 @@ class TestMinerResume:
 
         def run(budget, checkpoint):
             return gsp(
-                small_seq_db, 0.4, budget=budget, checkpoint=checkpoint
+                small_seq_db, 0.4,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         _sweep_miner(run, tmp_path, expected.supports)
@@ -122,7 +134,8 @@ class TestMinerResume:
 
         def run(budget, checkpoint):
             return apriori(
-                medium_db, 0.05, budget=budget, checkpoint=checkpoint
+                medium_db, 0.05,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         _sweep_miner(run, tmp_path, expected.supports)
@@ -171,7 +184,7 @@ class TestClustererResume:
         def make_model(budget, checkpoint):
             return KMeans(
                 3, n_init=2, max_iter=60, random_state=0,
-                budget=budget, checkpoint=checkpoint,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         def compare(model, reference):
@@ -193,7 +206,8 @@ class TestClustererResume:
         def make_model(budget, checkpoint):
             return KMeans(
                 3, algorithm="macqueen", n_init=2, max_iter=40,
-                random_state=1, budget=budget, checkpoint=checkpoint,
+                random_state=1,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         def compare(model, reference):
@@ -208,7 +222,9 @@ class TestClustererResume:
 
     def test_pam(self, X, tmp_path):
         def make_model(budget, checkpoint):
-            return PAM(3, budget=budget, checkpoint=checkpoint)
+            return PAM(
+                3, ctx=ExecutionContext(budget=budget, checkpointer=checkpoint)
+            )
 
         def compare(model, reference):
             assert np.array_equal(
@@ -225,7 +241,7 @@ class TestClustererResume:
         def make_model(budget, checkpoint):
             return CLARANS(
                 3, num_local=2, max_neighbor=25, random_state=4,
-                budget=budget, checkpoint=checkpoint,
+                ctx=ExecutionContext(budget=budget, checkpointer=checkpoint),
             )
 
         def compare(model, reference):
@@ -244,20 +260,25 @@ class TestResumeSafety:
         budget = Budget(check_interval=1).install_fault(TriggerAfter(3))
         with pytest.raises(BudgetExceeded):
             apriori(
-                small_db, 0.3, budget=budget,
-                checkpoint=Checkpointer(tmp_path),
+                small_db, 0.3, ctx=ExecutionContext(
+                    budget=budget, checkpointer=Checkpointer(tmp_path)
+                ),
             )
         # Same miner, different threshold: refuses to blend the runs.
         with pytest.raises(CheckpointMismatch):
             apriori(
                 small_db, 0.2,
-                checkpoint=Checkpointer(tmp_path, resume=True),
+                ctx=ExecutionContext(
+                    checkpointer=Checkpointer(tmp_path, resume=True)
+                ),
             )
         # A different miner entirely is rejected too.
         with pytest.raises(CheckpointMismatch):
             eclat(
                 small_db, 0.3,
-                checkpoint=Checkpointer(tmp_path, resume=True),
+                ctx=ExecutionContext(
+                    checkpointer=Checkpointer(tmp_path, resume=True)
+                ),
             )
 
     def test_corrupted_newest_snapshot_falls_back(self, small_db, tmp_path):
@@ -265,13 +286,14 @@ class TestResumeSafety:
         disk), corrupt the newest, resume — results are still exact."""
         expected = apriori(small_db, 0.3)
         counting = Budget(check_interval=1)
-        apriori(small_db, 0.3, budget=counting)
+        apriori(small_db, 0.3, ctx=ExecutionContext(budget=counting))
         kp = counting.n_checks  # kill at the last checkpoint
         budget = Budget(check_interval=1).install_fault(TriggerAfter(kp))
         with pytest.raises(BudgetExceeded):
             apriori(
-                small_db, 0.3, budget=budget,
-                checkpoint=Checkpointer(tmp_path),
+                small_db, 0.3, ctx=ExecutionContext(
+                    budget=budget, checkpointer=Checkpointer(tmp_path)
+                ),
             )
         ckpt = Checkpointer(tmp_path, resume=True)
         snapshots = ckpt.store.snapshots()
@@ -280,15 +302,23 @@ class TestResumeSafety:
         raw = bytearray(newest.read_bytes())
         raw[-1] ^= 0xFF
         newest.write_bytes(bytes(raw))
-        resumed = apriori(small_db, 0.3, checkpoint=ckpt)
+        resumed = apriori(
+            small_db, 0.3, ctx=ExecutionContext(checkpointer=ckpt)
+        )
         assert resumed.supports == expected.supports
 
     def test_resume_after_completion_is_exact(self, small_db, tmp_path):
         """Resuming a run that already finished replays the final state
         and returns the same answer (idempotent restarts)."""
-        expected = apriori(small_db, 0.3, checkpoint=Checkpointer(tmp_path))
+        expected = apriori(
+            small_db, 0.3,
+            ctx=ExecutionContext(checkpointer=Checkpointer(tmp_path)),
+        )
         resumed = apriori(
-            small_db, 0.3, checkpoint=Checkpointer(tmp_path, resume=True)
+            small_db, 0.3,
+            ctx=ExecutionContext(
+                checkpointer=Checkpointer(tmp_path, resume=True)
+            ),
         )
         assert resumed.supports == expected.supports
 
@@ -300,13 +330,16 @@ class TestResumeSafety:
         budget = Budget(max_candidates=40)
         with pytest.raises(BudgetExceeded):
             apriori(
-                medium_db, 0.05, budget=budget,
-                checkpoint=Checkpointer(tmp_path),
+                medium_db, 0.05, ctx=ExecutionContext(
+                    budget=budget, checkpointer=Checkpointer(tmp_path)
+                ),
             )
         assert Checkpointer(tmp_path, resume=False).store.snapshots()
         resumed = apriori(
             medium_db, 0.05,
-            budget=Budget(max_candidates=100_000),
-            checkpoint=Checkpointer(tmp_path, resume=True),
+            ctx=ExecutionContext(
+                budget=Budget(max_candidates=100_000),
+                checkpointer=Checkpointer(tmp_path, resume=True),
+            ),
         )
         assert resumed.supports == expected.supports

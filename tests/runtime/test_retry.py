@@ -12,6 +12,7 @@ from repro.runtime import (
     Budget,
     BudgetExceeded,
     Checkpointer,
+    ExecutionContext,
     FlakyFault,
     RetryPolicy,
     TransientFault,
@@ -185,7 +186,9 @@ class TestMinerComposition:
         policy = RetryPolicy(
             max_retries=3, base_delay=1.0, jitter=0.0, sleep=clock.advance
         )
-        result = policy.run(lambda: apriori(small_db, 0.3, budget=budget))
+        result = policy.run(
+            lambda: apriori(small_db, 0.3, ctx=ExecutionContext(budget=budget))
+        )
         assert result.supports == expected.supports
         assert len(policy.retries_) == 2
         assert clock() == pytest.approx(1.0 + 2.0)
@@ -197,7 +200,9 @@ class TestMinerComposition:
             sleep=VirtualClock().advance,
         )
         with pytest.raises(TransientFault):
-            policy.run(lambda: apriori(small_db, 0.3, budget=budget))
+            policy.run(lambda: apriori(
+                small_db, 0.3, ctx=ExecutionContext(budget=budget)
+            ))
 
     def test_retry_composes_with_checkpointing(self, small_db, tmp_path):
         # The retried attempt resumes from the checkpoint the failing
@@ -210,7 +215,9 @@ class TestMinerComposition:
             sleep=VirtualClock().advance,
         )
         result = policy.run(
-            lambda: eclat(small_db, 0.3, budget=budget, checkpoint=ckpt)
+            lambda: eclat(small_db, 0.3, ctx=ExecutionContext(
+                budget=budget, checkpointer=ckpt
+            ))
         )
         assert result.supports == expected.supports
 
@@ -220,5 +227,7 @@ class TestMinerComposition:
             max_retries=5, base_delay=0.0, sleep=VirtualClock().advance
         )
         with pytest.raises(BudgetExceeded):
-            policy.run(lambda: apriori(small_db, 0.3, budget=budget))
+            policy.run(lambda: apriori(
+                small_db, 0.3, ctx=ExecutionContext(budget=budget)
+            ))
         assert policy.retries_ == []

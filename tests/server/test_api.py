@@ -1,5 +1,6 @@
 """HTTP surface: routes, error semantics, quota back-pressure."""
 
+import http.client
 import json
 import os
 import threading
@@ -93,6 +94,27 @@ class TestRoutes:
         apriori = next(e for e in payload["algorithms"]
                        if e["name"] == "apriori")
         assert apriori["capabilities"]["checkpointable"] is True
+
+    def test_keep_alive_responses_do_not_stall(self, server):
+        # A response goes out as two writes (headers, then body).  With
+        # Nagle's algorithm on, the body waits for the client's delayed
+        # ACK of the headers: ~40 ms per response on a reused
+        # connection, ~0.4 s for these ten.
+        httpd, _scheduler = server
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", httpd.server_address[1], timeout=30
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(10):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f}s"
 
     def test_unknown_route_404(self, server):
         httpd, _scheduler = server

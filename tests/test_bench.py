@@ -45,7 +45,7 @@ def _valid_payload():
                     "nbytes": 128,
                 }
             ],
-            "benchmarks": [_entry("eclat_bitset", n_jobs=1)],
+            "benchmarks": [_entry("partition_bitset", n_jobs=1)],
         },
     }
 
@@ -145,5 +145,5 @@ def test_bench_encodings_measures_every_view():
 def test_render_report_shows_kernel_table():
     report = bench.render_report(_valid_payload())
     assert "columnar encodings" in report
-    assert "eclat_bitset" in report
+    assert "partition_bitset" in report
     assert "transaction_bitmap" in report

@@ -74,9 +74,11 @@ def test_regressor_predict_before_fit(factory, weather):
 
 def test_truncated_fit_is_still_fitted(f2_train):
     """A budget-truncated tree is fitted — NotFittedError must not fire."""
-    from repro.runtime import Budget
+    from repro.runtime import Budget, ExecutionContext
 
-    model = C45(prune=False, budget=Budget(max_nodes=1))
+    model = C45(
+        prune=False, ctx=ExecutionContext(budget=Budget(max_nodes=1))
+    )
     model.fit(f2_train, "group")
     assert model.truncated_
     assert len(model.predict(f2_train)) == f2_train.n_rows
