@@ -28,35 +28,19 @@ datasets
     mixtures, shape data, toy tables, CSV I/O.
 runtime
     Execution budgets, cooperative cancellation, fault injection.
+
+Subpackages are imported on first use, and so are the public names of
+``core``, ``runtime``, ``datasets``, ``evaluation``, ``preprocessing``
+and the four algorithm families (see :mod:`repro._lazy`).
 """
 
 __version__ = "1.0.0"
 
-from . import (
-    associations,
-    classification,
-    clustering,
-    core,
-    datasets,
-    evaluation,
-    preprocessing,
-    regression,
-    runtime,
-    sequences,
-)
-from . import outliers
+from ._lazy import lazy_exports
 
-__all__ = [
-    "core",
-    "associations",
-    "sequences",
-    "classification",
-    "clustering",
-    "preprocessing",
-    "regression",
-    "outliers",
-    "evaluation",
-    "datasets",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {}, (
+    "core", "associations", "sequences", "classification", "clustering",
+    "preprocessing", "regression", "outliers", "evaluation", "datasets",
     "runtime",
-    "__version__",
-]
+))
+__all__.append("__version__")

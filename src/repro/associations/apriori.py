@@ -21,12 +21,14 @@ from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
     check_degradation_policy,
+    resolve_n_jobs,
 )
-from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
-from ..runtime.transport import SharedRegion, get_object
 from .candidates import apriori_gen
 from .hash_tree import HashTree
 from .levelwise import degrade_levelwise, run_levelwise
+
+# runtime.parallel and runtime.transport are imported inside the
+# n_jobs > 1 paths: a serial run never loads the worker pool.
 
 #: counting backends accepted by :func:`apriori` and ``dhp``
 CANDIDATE_STORES = ("hash_tree", "dict", "bitmap")
@@ -204,6 +206,8 @@ class CountingAssets:
     """
 
     def __init__(self, db, bitmap=None):
+        from ..runtime.transport import SharedRegion
+
         self.region = SharedRegion()
         self.db_handle = self.region.put_object(db)
         self.bitmap_handle = (
@@ -216,6 +220,8 @@ class CountingAssets:
 
 def _count_shard_task(args, shard_ctx):
     """Pool task: one row shard's count vector, inputs via handles."""
+    from ..runtime.transport import get_object
+
     db_handle, cands_handle, k, backend, bitmap_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
     return shard_count_vector(
@@ -228,6 +234,8 @@ def _count_shard_task(args, shard_ctx):
 
 def _count_candidate_shard_task(args, shard_ctx):
     """Pool task: one candidate slice counted over the full database."""
+    from ..runtime.transport import get_object
+
     db_handle, cands_handle, k, backend, bitmap_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
     db = get_object(db_handle)
@@ -310,6 +318,8 @@ def shard_count_vector(
 
 def _map_reduce_counts(db, candidates, k, backend, ctx, n_jobs,
                        bitmap, assets=None):
+    from ..runtime.parallel import shard_bounds, shared_pool
+
     pass_region = None
     if assets is None:
         pass_region = assets = CountingAssets(db, bitmap)

@@ -22,8 +22,8 @@ from ..runtime.context import (
     LEVELWISE_POLICIES,
     ExecutionContext,
     check_degradation_policy,
+    resolve_n_jobs,
 )
-from ..runtime.parallel import resolve_n_jobs
 from .apriori import (
     CANDIDATE_STORES,
     CountingAssets,

@@ -22,8 +22,7 @@ more-general rule by at least a factor R.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..core.base import check_in_range, check_nonempty
 from ..core.exceptions import ValidationError

@@ -31,10 +31,12 @@ from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
+    resolve_n_jobs,
 )
-from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
-from ..runtime.transport import SharedRegion, get_object
 from .apriori import checkpoint_key, min_count_from_support
+
+# runtime.parallel and runtime.transport are imported inside the
+# n_jobs > 1 paths: a serial run never loads the worker pool.
 
 #: tidlist backends accepted by :func:`partition_miner`
 TIDSET_BACKENDS = ("tidset", "bitset")
@@ -134,10 +136,16 @@ def partition_miner(
         # forks: workers resolving the same database object inherit the
         # cached packed matrix copy-on-write instead of re-encoding.
         transaction_bitmap(db)
-    region = SharedRegion() if n_jobs > 1 and n > 1 else None
+    region = None
+    if n_jobs > 1 and n > 1:
+        from ..runtime.transport import SharedRegion
+
+        region = SharedRegion()
     db_handle = region.put_object(db) if region is not None else None
     try:
         if n_jobs > 1 and len(bounds) - start > 1:
+            from ..runtime.parallel import shared_pool
+
             # Each remaining partition is mined in a pool worker; the
             # unions (sets, so order-free) merge in partition order, and
             # step/mark stay in the parent so the checkpoint trail keeps
@@ -203,6 +211,8 @@ def partition_miner(
 
 def _mine_partition_task(args, shard_ctx):
     """Pool task: local mine of one partition, database via handle."""
+    from ..runtime.transport import get_object
+
     db_handle, begin, stop, local_min_count, max_size, backend = args
     budget = None if shard_ctx is None else shard_ctx.budget
     return _mine_partition(
@@ -213,6 +223,8 @@ def _mine_partition_task(args, shard_ctx):
 
 def _count_range_task(args, shard_ctx):
     """Pool task: scan-2 counts over one row range, inputs via handles."""
+    from ..runtime.transport import get_object
+
     db_handle, ordered_handle, begin, stop, backend = args
     budget = None if shard_ctx is None else shard_ctx.budget
     return _count_range(
@@ -228,7 +240,7 @@ def _global_count(
     budget: Optional[Budget],
     ctx: Optional[ExecutionContext] = None,
     n_jobs: int = 1,
-    region: Optional[SharedRegion] = None,
+    region=None,
     db_handle=None,
     backend: str = "tidset",
 ) -> Dict[Itemset, int]:
@@ -237,6 +249,8 @@ def _global_count(
     # dict would make equal runs byte-different.
     ordered = sorted(candidates)
     if n_jobs > 1 and len(db) > 1 and region is not None:
+        from ..runtime.parallel import shard_bounds, shared_pool
+
         ordered_handle = region.put_object(ordered)
         try:
             tasks = [

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from ..core.base import check_in_range
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.table import Table
-from ..core.transactions import TransactionDatabase
 from .apriori import min_count_from_support
 from .candidates import apriori_gen
 from .rules import AssociationRule, generate_rules

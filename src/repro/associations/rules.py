@@ -10,7 +10,7 @@ least the same support), so whole branches are pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from ..core.base import check_in_range
 from ..core.itemsets import FrequentItemsets, Itemset

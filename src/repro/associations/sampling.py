@@ -10,12 +10,11 @@ mining pass over the failures closes the gap.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Set
 
 from ..core.base import check_in_range, check_nonempty
 from ..core.exceptions import ValidationError
-from ..core.itemsets import FrequentItemsets, Itemset, subsets_of_size
+from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.random import RandomState, check_random_state
 from ..core.transactions import TransactionDatabase
 from ..runtime import IterationBudgetExceeded

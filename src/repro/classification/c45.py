@@ -26,7 +26,7 @@ from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.table import Attribute, Table
 from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
-from .criteria import entropy, gain_ratio, information_gain, split_information
+from .criteria import entropy, information_gain, split_information
 from .pruning import pessimistic_prune
 from .tree_model import (
     CategoricalSplit,

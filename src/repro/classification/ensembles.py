@@ -20,7 +20,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..core.base import Classifier, check_in_range
-from ..core.exceptions import ValidationError
 from ..core.random import RandomState, check_random_state, spawn
 from ..core.table import Attribute, Table
 

@@ -14,7 +14,7 @@ with :func:`repro.preprocessing.discretize_table`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ them — C4.5's probabilistic descent, which the other builders inherit.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Tuple
 
 import numpy as np
 

@@ -11,14 +11,13 @@ because condition-dropping generalises each leaf's region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.base import Classifier, check_in_range
-from ..core.exceptions import NotFittedError, ValidationError
+from ..core.exceptions import NotFittedError
 from ..core.table import Attribute, Table
 from .pruning import binomial_upper_limit
 from .tree_model import (

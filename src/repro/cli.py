@@ -24,8 +24,11 @@ exits non-zero on invalid input.
 Dispatch is entirely table-driven: subcommand choices, budget wiring,
 checkpoint/supervision gating and the usage-error messages all derive
 from the capability declarations in :mod:`repro.registry`.  Adding an
-algorithm means registering it in its family package — this module
-never changes.
+algorithm means adding one row to that table — this module never
+changes.  Building the parser reads only the table, and a command
+imports only what it runs: ``repro algorithms`` loads no numpy and no
+algorithm module, and ``repro mine`` loads no classifier, clusterer,
+sequence miner, server or supervisor module.
 
 ``mine``, ``classify`` and ``cluster`` accept execution-budget flags:
 ``--time-limit SECONDS`` bounds wall-clock time and ``--max-candidates N``
@@ -576,8 +579,6 @@ def _cmd_cluster(args) -> int:
     if getattr(model, "truncated_", False):
         print(f"NOTE: budget exhausted -- partial clustering "
               f"({model.truncation_reason_})")
-    import numpy as np
-
     clusters = sorted(set(labels.tolist()) - {-1})
     noise = int((labels == -1).sum())
     print(f"{args.algorithm} on {args.path}: {len(X)} points, "
@@ -615,8 +616,6 @@ def _cmd_generate(args) -> int:
         print(f"wrote {table.n_rows} rows (function F{args.function}) "
               f"to {args.path}")
     else:
-        import numpy as np
-
         from .core.table import Table, numeric
 
         X, y = gaussian_blobs(args.rows, centers=args.centers,

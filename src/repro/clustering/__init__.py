@@ -11,102 +11,16 @@ methods.
 * :class:`Cobweb` — incremental conceptual clustering of nominal data.
 """
 
-from .birch import CF, Birch
-from .cobweb import Cobweb, CobwebNode, category_utility
-from .clara import CLARA
-from .clarans import CLARANS
-from .dbscan import DBSCAN, NOISE
-from .distance import euclidean, nearest_center, pairwise_distances
-from .hierarchical import Agglomerative
-from .kmeans import KMeans
-from .kmedoids import PAM
+from .._lazy import lazy_exports
 
-from ..registry import (
-    AlgorithmSpec as _Spec,
-    Capabilities as _Caps,
-    register as _register,
-)
-
-
-# CLI adapters: clustering constructors take per-algorithm
-# hyper-parameters, so each spec carries a ``make(ctx, **params)``
-# mapping the shared CLI surface (k / eps / min-samples / seed) onto
-# the estimator.  Extra params are accepted and ignored so the CLI can
-# pass its full flag set uniformly.
-def _make_kmeans(ctx, k=3, seed=0, n_jobs=None, backend="full", **_):
-    return KMeans(k, random_state=seed, ctx=ctx, n_jobs=n_jobs,
-                  backend=backend)
-
-
-def _make_pam(ctx, k=3, **_):
-    return PAM(k, ctx=ctx)
-
-
-def _make_clarans(ctx, k=3, seed=0, **_):
-    return CLARANS(k, random_state=seed, ctx=ctx)
-
-
-def _make_birch(ctx, k=3, eps=0.5, seed=0, **_):
-    return Birch(threshold=eps, n_clusters=k, random_state=seed, ctx=ctx)
-
-
-def _make_dbscan(ctx, eps=0.5, min_samples=5, **_):
-    return DBSCAN(eps=eps, min_samples=min_samples, ctx=ctx)
-
-
-def _make_agglomerative(ctx, k=3, **_):
-    return Agglomerative(k, ctx=ctx)
-
-
-# Capability declarations (see repro.registry).  The iterative
-# optimisers snapshot pass boundaries and so are checkpointable and
-# supervisable; the single-shot methods are not.  Birch charges the
-# ``nodes`` axis (one unit per point inserted into the CF-tree), unlike
-# the other clusterers' ``expansions``.  The order fixes the CLI
-# ``--algorithm`` choices.
-_ITERATIVE_CAPS = _Caps(
-    checkpointable=True, supervisable=True, budget_resource="expansions"
-)
-_KMEANS_CAPS = _Caps(
-    checkpointable=True, supervisable=True, budget_resource="expansions",
-    parallelizable=True, vectorizable=True,
-)
-for _spec in (
-    _Spec("kmeans", "clustering", KMeans, _KMEANS_CAPS,
-          summary="Lloyd/MacQueen with k-means++ seeding",
-          make=_make_kmeans),
-    _Spec("pam", "clustering", PAM, _ITERATIVE_CAPS,
-          summary="exact k-medoids (BUILD + SWAP)", make=_make_pam),
-    _Spec("clarans", "clustering", CLARANS, _ITERATIVE_CAPS,
-          summary="randomized-search k-medoids", make=_make_clarans),
-    _Spec("birch", "clustering", Birch,
-          _Caps(budget_resource="nodes"),
-          summary="single-scan CF-tree compression", make=_make_birch),
-    _Spec("dbscan", "clustering", DBSCAN,
-          _Caps(budget_resource="expansions"),
-          summary="density-based clusters of arbitrary shape",
-          make=_make_dbscan),
-    _Spec("agglomerative", "clustering", Agglomerative,
-          _Caps(budget_resource="expansions"),
-          summary="single/complete/average/ward linkage",
-          make=_make_agglomerative),
-):
-    _register(_spec)
-
-__all__ = [
-    "KMeans",
-    "PAM",
-    "CLARA",
-    "CLARANS",
-    "Agglomerative",
-    "Birch",
-    "CF",
-    "DBSCAN",
-    "NOISE",
-    "Cobweb",
-    "CobwebNode",
-    "category_utility",
-    "euclidean",
-    "pairwise_distances",
-    "nearest_center",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "birch": ("CF", "Birch"),
+    "clara": ("CLARA",),
+    "clarans": ("CLARANS",),
+    "cobweb": ("Cobweb", "CobwebNode", "category_utility"),
+    "dbscan": ("DBSCAN", "NOISE"),
+    "distance": ("euclidean", "nearest_center", "pairwise_distances"),
+    "hierarchical": ("Agglomerative",),
+    "kmeans": ("KMeans",),
+    "kmedoids": ("PAM",),
+})

@@ -12,7 +12,7 @@ property is what benchmark E10 demonstrates against PAM/k-means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

@@ -16,7 +16,8 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState, check_random_state, spawn
-from ..runtime.parallel import resolve_n_jobs, shared_pool
+from ..runtime.context import resolve_n_jobs
+from ..runtime.parallel import shared_pool
 from ..runtime.transport import SegmentHandle, SharedRegion, get_array
 from .distance import pairwise_distances
 from .kmedoids import PAM

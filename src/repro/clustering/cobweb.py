@@ -20,7 +20,7 @@ conventional flat reading) and the full hierarchy for inspection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.base import Clusterer, check_in_range
-from ..core.exceptions import ConvergenceWarning, ValidationError
+from ..core.exceptions import ConvergenceWarning
 from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 

@@ -18,10 +18,11 @@ from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState, check_random_state, spawn
 from ..runtime import BudgetExceeded
-from ..runtime.context import ExecutionContext
-from ..runtime.parallel import resolve_n_jobs, shared_pool
-from ..runtime.transport import SegmentHandle, SharedRegion, get_array
+from ..runtime.context import ExecutionContext, resolve_n_jobs
 from .distance import nearest_center, pairwise_distances
+
+# runtime.parallel and runtime.transport are imported inside the
+# n_jobs > 1 paths: a serial run never loads the worker pool.
 
 _INITS = ("kmeans++", "forgy", "random_partition")
 _ALGORITHMS = ("lloyd", "macqueen")
@@ -38,6 +39,8 @@ def _kmeans_trial_task(args, _shard_ctx):
     pickled hyperparameters, so nothing heavier than a few scalars and
     the child RNG crosses the pipe.
     """
+    from ..runtime.transport import SegmentHandle, get_array
+
     X_handle, n_clusters, init, algorithm, max_iter, tol, child, backend \
         = args
     X = get_array(X_handle) if isinstance(X_handle, SegmentHandle) \
@@ -273,8 +276,10 @@ class KMeans(Clusterer):
         restart order.  The ``max_restarts`` extras keep the serial
         stop-at-first-convergence rule.
         """
-        children = list(spawn(rng, self.n_init + self.max_restarts))
+        from ..runtime.parallel import shared_pool
+        from ..runtime.transport import SharedRegion
 
+        children = list(spawn(rng, self.n_init + self.max_restarts))
         with SharedRegion() as region:
             X_handle = region.put_array(X)
             tasks = [

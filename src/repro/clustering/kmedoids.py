@@ -17,7 +17,6 @@ import numpy as np
 
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
-from ..core.random import RandomState
 from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances

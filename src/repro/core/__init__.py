@@ -10,67 +10,19 @@ Everything else in :mod:`repro` builds on these primitives:
 * :class:`Classifier` / :class:`Clusterer` — the fit/predict protocol.
 """
 
-from .base import Classifier, Clusterer, check_matrix, check_nonempty
-from .exceptions import (
-    ConvergenceWarning,
-    EmptyInputError,
-    NotFittedError,
-    ReproError,
-    ValidationError,
-)
-from .itemsets import (
-    FrequentItemsets,
-    Itemset,
-    PassStats,
-    as_itemset,
-    contains,
-    is_canonical,
-    proper_subsets,
-    subsets_of_size,
-)
-from .random import RandomState, check_random_state, spawn
-from .sequences import (
-    SequenceDatabase,
-    SequencePattern,
-    as_pattern,
-    pattern_length,
-    sequence_contains,
-)
-from .table import Attribute, Table, categorical, numeric
-from .taxonomy import Taxonomy
-from .transactions import Transaction, TransactionDatabase
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Classifier",
-    "Clusterer",
-    "check_matrix",
-    "check_nonempty",
-    "EmptyInputError",
-    "ConvergenceWarning",
-    "NotFittedError",
-    "ReproError",
-    "ValidationError",
-    "FrequentItemsets",
-    "Itemset",
-    "PassStats",
-    "as_itemset",
-    "contains",
-    "is_canonical",
-    "proper_subsets",
-    "subsets_of_size",
-    "RandomState",
-    "check_random_state",
-    "spawn",
-    "SequenceDatabase",
-    "SequencePattern",
-    "as_pattern",
-    "pattern_length",
-    "sequence_contains",
-    "Attribute",
-    "Table",
-    "categorical",
-    "numeric",
-    "Taxonomy",
-    "Transaction",
-    "TransactionDatabase",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Classifier", "Clusterer", "check_matrix", "check_nonempty"),
+    "exceptions": ("ConvergenceWarning", "EmptyInputError", "NotFittedError",
+                   "ReproError", "ValidationError"),
+    "itemsets": ("FrequentItemsets", "Itemset", "PassStats", "as_itemset",
+                 "contains", "is_canonical", "proper_subsets",
+                 "subsets_of_size"),
+    "random": ("RandomState", "check_random_state", "spawn"),
+    "sequences": ("SequenceDatabase", "SequencePattern", "as_pattern",
+                  "pattern_length", "sequence_contains"),
+    "table": ("Attribute", "Table", "categorical", "numeric"),
+    "taxonomy": ("Taxonomy",),
+    "transactions": ("Transaction", "TransactionDatabase"),
+})

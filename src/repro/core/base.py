@@ -16,7 +16,7 @@ a dependent method before ``fit`` raises
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional
 
 import numpy as np
 

@@ -126,7 +126,6 @@ class PackedBitmap:
             )
         self.n_items = db.n_items
         self.n_transactions = len(db)
-        self._item_counts: Optional[np.ndarray] = None
 
     # -- memory accounting -------------------------------------------------
     @property
@@ -138,14 +137,6 @@ class PackedBitmap:
     def tidset(self, item: int) -> np.ndarray:
         """Item ``item``'s tidlist as a packed bitset (a matrix row)."""
         return self.packed[item]
-
-    def item_supports(self) -> np.ndarray:
-        """Support count of every item id (popcount per row), cached."""
-        if self._item_counts is None:
-            self._item_counts = _popcount_u8(self.packed).sum(
-                axis=1, dtype=np.int64
-            )
-        return self._item_counts
 
     # -- counting ----------------------------------------------------------
     def count(

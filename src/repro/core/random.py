@@ -9,7 +9,7 @@ draws random numbers accepts a ``random_state`` argument that may be
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

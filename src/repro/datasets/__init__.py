@@ -12,40 +12,21 @@ Generators reproduce the classic evaluation workloads:
 * :func:`play_tennis` / :func:`iris` / :func:`weather_numeric` — toys.
 """
 
-from .agrawal import FUNCTIONS, agrawal
-from .basket import QuestBasketGenerator, QuestConfig, quest_basket
-from .friedman import friedman1
-from .gaussian import gaussian_blobs, gaussian_grid
-from .io import load_table, load_transactions, save_table, save_transactions
-from .sequence_gen import (
-    QuestSequenceConfig,
-    QuestSequenceGenerator,
-    quest_sequences,
-)
-from .shapes import two_moons, two_rings
-from .taxonomy_gen import random_taxonomy
-from .toy import iris, play_tennis, weather_numeric
+from .._lazy import lazy_exports
 
-__all__ = [
-    "agrawal",
-    "FUNCTIONS",
-    "QuestConfig",
-    "QuestBasketGenerator",
-    "quest_basket",
-    "QuestSequenceConfig",
-    "QuestSequenceGenerator",
-    "quest_sequences",
-    "friedman1",
-    "gaussian_blobs",
-    "gaussian_grid",
-    "two_rings",
-    "two_moons",
-    "random_taxonomy",
-    "play_tennis",
-    "iris",
-    "weather_numeric",
-    "save_table",
-    "load_table",
-    "save_transactions",
-    "load_transactions",
-]
+# Also a submodule name, so bound eagerly (see repro._lazy).
+from .agrawal import agrawal
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "agrawal": ("agrawal", "FUNCTIONS"),
+    "basket": ("QuestBasketGenerator", "QuestConfig", "quest_basket"),
+    "friedman": ("friedman1",),
+    "gaussian": ("gaussian_blobs", "gaussian_grid"),
+    "io": ("load_table", "load_transactions", "save_table",
+           "save_transactions"),
+    "sequence_gen": ("QuestSequenceConfig", "QuestSequenceGenerator",
+                     "quest_sequences"),
+    "shapes": ("two_moons", "two_rings"),
+    "taxonomy_gen": ("random_taxonomy",),
+    "toy": ("iris", "play_tennis", "weather_numeric"),
+})

@@ -21,7 +21,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.base import check_in_range
-from ..core.exceptions import ValidationError
 from ..core.random import RandomState, check_random_state
 from ..core.transactions import TransactionDatabase
 

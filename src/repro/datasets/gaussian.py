@@ -7,7 +7,7 @@ workloads with controllable separation and optional uniform noise.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 

@@ -1,39 +1,13 @@
 """Evaluation: classification metrics, cross-validation, cluster quality."""
 
-from .cluster_metrics import (
-    adjusted_rand_index,
-    normalized_mutual_info,
-    purity,
-    rand_index,
-    silhouette,
-    sse,
-)
-from .crossval import cross_val_score, kfold_indices, stratified_kfold_indices
-from .metrics import (
-    ClassReport,
-    accuracy,
-    classification_report,
-    confusion_matrix,
-    error_rate,
-    macro_f1,
-    precision_recall_f1,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "accuracy",
-    "error_rate",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "ClassReport",
-    "classification_report",
-    "macro_f1",
-    "kfold_indices",
-    "stratified_kfold_indices",
-    "cross_val_score",
-    "sse",
-    "purity",
-    "rand_index",
-    "adjusted_rand_index",
-    "normalized_mutual_info",
-    "silhouette",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cluster_metrics": ("adjusted_rand_index", "normalized_mutual_info",
+                        "purity", "rand_index", "silhouette", "sse"),
+    "crossval": ("cross_val_score", "kfold_indices",
+                 "stratified_kfold_indices"),
+    "metrics": ("ClassReport", "accuracy", "classification_report",
+                "confusion_matrix", "error_rate", "macro_f1",
+                "precision_recall_f1"),
+})

@@ -16,8 +16,8 @@ from ..core.base import Classifier, check_in_range
 from ..core.exceptions import ValidationError
 from ..core.random import RandomState, check_random_state
 from ..core.table import Table
-from ..runtime.context import ExecutionContext
-from ..runtime.parallel import resolve_n_jobs, shared_pool
+from ..runtime.context import ExecutionContext, resolve_n_jobs
+from ..runtime.parallel import shared_pool
 from ..runtime.transport import SegmentHandle, SharedRegion, get_object
 
 

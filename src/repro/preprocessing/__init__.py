@@ -1,19 +1,11 @@
 """Preprocessing: discretization, scaling, splitting, encoding."""
 
-from .discretize import MDLP, EqualFrequency, EqualWidth, discretize_table
-from .encode import impute_missing, one_hot_matrix
-from .scale import MinMaxScaler, StandardScaler, scale_table
-from .split import train_test_split
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EqualWidth",
-    "EqualFrequency",
-    "MDLP",
-    "discretize_table",
-    "MinMaxScaler",
-    "StandardScaler",
-    "scale_table",
-    "train_test_split",
-    "one_hot_matrix",
-    "impute_missing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "discretize": ("MDLP", "EqualFrequency", "EqualWidth",
+                   "discretize_table"),
+    "encode": ("impute_missing", "one_hot_matrix"),
+    "scale": ("MinMaxScaler", "StandardScaler", "scale_table"),
+    "split": ("train_test_split",),
+})

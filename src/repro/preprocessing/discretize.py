@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.base import check_in_range
 from ..core.exceptions import NotFittedError, ValidationError
-from ..core.table import Attribute, Table, categorical
+from ..core.table import Table, categorical
 from ..classification.criteria import entropy
 
 

@@ -8,7 +8,7 @@ through, categorical columns expand to 0/1 indicator blocks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

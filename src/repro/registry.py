@@ -1,13 +1,18 @@
-"""Central algorithm registry with declared capabilities.
+"""Central algorithm registry: a declared table of every algorithm.
 
-Every miner, classifier, clusterer and sequence miner registers itself
-here (from its family package's ``__init__``) with a name, family,
-factory and a :class:`Capabilities` record.  The CLI derives its
-subcommand choices, usage errors, budget wiring and supervisor resume
-policy entirely from this table, so adding an algorithm never touches
-``cli.py`` — register it in its family package and every surface
-(``repro algorithms``, ``--supervise`` gating, conformance tests) picks
-it up.
+:data:`ALGORITHMS` holds one row per miner, classifier, clusterer and
+sequence miner: its name, family, a ``"module:attr"`` path to the
+factory (and to the CLI ``make`` adapter), its :class:`Capabilities`
+and a one-line summary.  The CLI derives its subcommand choices, usage
+errors, budget wiring and supervisor resume policy from this table, so
+adding an algorithm means adding one row here (and, for a clusterer,
+its adapter in :mod:`repro.clustering.adapters`) — ``cli.py`` never
+changes.
+
+Reading the table imports nothing beyond this module: ``repro
+algorithms`` and the CLI's argument parser never load numpy or an
+algorithm module.  A spec imports its factory the first time
+:attr:`AlgorithmSpec.factory` is read and keeps it.
 
 The dependency direction is strictly one-way: algorithm modules and
 this registry never import :mod:`repro.cli` (enforced by a CI lint
@@ -16,7 +21,9 @@ step).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .core.exceptions import ValidationError
@@ -95,29 +102,45 @@ class Capabilities:
         }
 
 
+def _resolve(path: str) -> Callable:
+    module, _, attr = path.partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One registered algorithm.
+    """One row of the algorithm table.
 
-    ``factory`` is the public callable (miner function or estimator
-    class).  ``make`` is an optional CLI adapter ``make(ctx, **params)``
-    returning a ready-to-fit estimator for families whose constructors
-    take per-algorithm hyper-parameters; families with a uniform call
-    shape (the miners) are invoked through ``factory`` directly.
+    ``factory_path`` names the public callable (miner function or
+    estimator class) as ``"module:attr"``.  ``make_path`` optionally
+    names a CLI adapter ``make(ctx, **params)`` returning a ready-to-fit
+    estimator, for families whose constructors take per-algorithm
+    hyper-parameters; families with a uniform call shape (the miners)
+    are invoked through ``factory`` directly.
     """
 
     name: str
     family: str
-    factory: Callable
+    factory_path: str
     capabilities: Capabilities = field(default_factory=Capabilities)
     summary: str = ""
-    make: Optional[Callable] = None
+    make_path: Optional[str] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(
                 f"family must be one of {FAMILIES}, got {self.family!r}"
             )
+
+    @cached_property
+    def factory(self) -> Callable:
+        """The factory, imported on first read."""
+        return _resolve(self.factory_path)
+
+    @cached_property
+    def make(self) -> Optional[Callable]:
+        """The CLI adapter, imported on first read (None without one)."""
+        return None if self.make_path is None else _resolve(self.make_path)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form (factories stay out — they are not data)."""
@@ -129,36 +152,130 @@ class AlgorithmSpec:
         }
 
 
-_REGISTRY: Dict[Tuple[str, str], AlgorithmSpec] = {}
+# The shared ``on_exhausted`` vocabularies of repro.runtime.context,
+# spelled out so that reading the table loads no runtime module (the
+# conformance sweep checks they match).
+_LEVELWISE = ("raise", "truncate", "partition", "sampling")
+_BASIC = ("raise", "truncate")
 
+_RESUMABLE = dict(checkpointable=True, supervisable=True)
+_FAST = dict(parallelizable=True, vectorizable=True)
+_LEVELWISE_CAPS = Capabilities(**_RESUMABLE, **_FAST,
+                               budget_resource="candidates",
+                               degradation_policies=_LEVELWISE)
+_SHARDED_CAPS = Capabilities(**_RESUMABLE, **_FAST,
+                             budget_resource="candidates",
+                             degradation_policies=_BASIC)
+_BUDGETED_CAPS = Capabilities(budget_resource="candidates",
+                              degradation_policies=_BASIC)
+# Every classifier is a deterministic fit, so all are supervisable via
+# restart-from-scratch; only the tree growers charge a budget (one node
+# unit per attempted split).
+_TREE_CAPS = Capabilities(supervisable=True, budget_resource="nodes")
+_PLAIN_CAPS = Capabilities(supervisable=True)
+# The iterative clusterers snapshot pass boundaries and so are
+# checkpointable and supervisable; the single-shot methods are not.
+# Birch charges the ``nodes`` axis (one unit per point inserted into
+# the CF-tree), unlike the other clusterers' ``expansions``.
+_ITERATIVE_CAPS = Capabilities(**_RESUMABLE, budget_resource="expansions")
+_SINGLE_SHOT_CAPS = Capabilities(budget_resource="expansions")
 
-def register(spec: AlgorithmSpec) -> AlgorithmSpec:
-    """Add a spec to the table; re-registration must be idempotent.
+#: Every algorithm, in the order of the CLI's ``--miner`` /
+#: ``--classifier`` / ``--algorithm`` choices and of ``repro
+#: algorithms``.  ``sampling_miner``, ``apriori_hybrid`` and the other
+#: public estimators take no runtime plumbing and stay out of it.
+ALGORITHMS: Tuple[AlgorithmSpec, ...] = (
+    AlgorithmSpec(
+        "apriori", "associations", "repro.associations.apriori:apriori",
+        _LEVELWISE_CAPS, "levelwise mining with hash-tree counting (VLDB '94)"),
+    AlgorithmSpec(
+        "fp_growth", "associations", "repro.associations.fp_growth:fp_growth",
+        _BUDGETED_CAPS, "pattern growth without candidate generation"),
+    AlgorithmSpec(
+        "eclat", "associations", "repro.associations.eclat:eclat",
+        Capabilities(**_RESUMABLE, budget_resource="candidates",
+                     degradation_policies=_BASIC),
+        "vertical tidset intersection, depth-first"),
+    AlgorithmSpec(
+        "apriori_tid", "associations",
+        "repro.associations.apriori_tid:apriori_tid",
+        Capabilities(**_RESUMABLE, budget_resource="candidates",
+                     degradation_policies=_LEVELWISE),
+        "levelwise over transformed transaction lists"),
+    AlgorithmSpec(
+        "dhp", "associations", "repro.associations.dhp:dhp",
+        _LEVELWISE_CAPS, "hash-filtered pass 2 (Park/Chen/Yu)"),
+    AlgorithmSpec(
+        "partition", "associations",
+        "repro.associations.partition:partition_miner",
+        _SHARDED_CAPS, "two-scan partitioned mining (Savasere et al.)"),
+    AlgorithmSpec(
+        "c45", "classification", "repro.classification.c45:C45",
+        _TREE_CAPS, "gain-ratio tree with pessimistic pruning"),
+    AlgorithmSpec(
+        "cart", "classification", "repro.classification.cart:CART",
+        _TREE_CAPS, "binary Gini tree with cost-complexity pruning"),
+    AlgorithmSpec(
+        "sliq", "classification", "repro.classification.sliq:SLIQ",
+        Capabilities(supervisable=True, budget_resource="nodes",
+                     vectorizable=True),
+        "breadth-first tree over pre-sorted attribute lists"),
+    AlgorithmSpec(
+        "nb", "classification", "repro.classification.naive_bayes:NaiveBayes",
+        _PLAIN_CAPS, "Gaussian + Laplace-smoothed naive Bayes"),
+    AlgorithmSpec(
+        "knn", "classification", "repro.classification.knn:KNN",
+        _PLAIN_CAPS, "lazy nearest-neighbour voting"),
+    AlgorithmSpec(
+        "oner", "classification", "repro.classification.baselines:OneR",
+        _PLAIN_CAPS, "best single-attribute rule set"),
+    AlgorithmSpec(
+        "zeror", "classification", "repro.classification.baselines:ZeroR",
+        _PLAIN_CAPS, "majority-class floor"),
+    AlgorithmSpec(
+        "kmeans", "clustering", "repro.clustering.kmeans:KMeans",
+        Capabilities(**_RESUMABLE, **_FAST, budget_resource="expansions"),
+        "Lloyd/MacQueen with k-means++ seeding",
+        "repro.clustering.adapters:make_kmeans"),
+    AlgorithmSpec(
+        "pam", "clustering", "repro.clustering.kmedoids:PAM",
+        _ITERATIVE_CAPS, "exact k-medoids (BUILD + SWAP)",
+        "repro.clustering.adapters:make_pam"),
+    AlgorithmSpec(
+        "clarans", "clustering", "repro.clustering.clarans:CLARANS",
+        _ITERATIVE_CAPS, "randomized-search k-medoids",
+        "repro.clustering.adapters:make_clarans"),
+    AlgorithmSpec(
+        "birch", "clustering", "repro.clustering.birch:Birch",
+        Capabilities(budget_resource="nodes"),
+        "single-scan CF-tree compression",
+        "repro.clustering.adapters:make_birch"),
+    AlgorithmSpec(
+        "dbscan", "clustering", "repro.clustering.dbscan:DBSCAN",
+        _SINGLE_SHOT_CAPS, "density-based clusters of arbitrary shape",
+        "repro.clustering.adapters:make_dbscan"),
+    AlgorithmSpec(
+        "agglomerative", "clustering",
+        "repro.clustering.hierarchical:Agglomerative", _SINGLE_SHOT_CAPS,
+        "single/complete/average/ward linkage",
+        "repro.clustering.adapters:make_agglomerative"),
+    AlgorithmSpec(
+        "apriori_all", "sequences", "repro.sequences.apriori_all:apriori_all",
+        _BUDGETED_CAPS, "three-phase litemset sequence mining"),
+    AlgorithmSpec(
+        "gsp", "sequences", "repro.sequences.gsp:gsp",
+        _SHARDED_CAPS, "generalized sequential patterns with time constraints"),
+    AlgorithmSpec(
+        "prefixspan", "sequences", "repro.sequences.prefixspan:prefixspan",
+        _BUDGETED_CAPS, "pattern growth with pseudo-projection"),
+)
 
-    Family packages register on import, and imports can run more than
-    once in exotic embedding setups — identical re-registration is a
-    no-op, conflicting re-registration is an error.
-    """
-    slot = (spec.family, spec.name)
-    existing = _REGISTRY.get(slot)
-    if existing is not None and existing.factory is not spec.factory:
-        raise ValidationError(
-            f"algorithm {spec.name!r} already registered in {spec.family} "
-            "with a different factory"
-        )
-    _REGISTRY[slot] = spec
-    return spec
-
-
-def ensure_populated() -> None:
-    """Import every family package so its registrations run."""
-    from . import associations, classification, clustering, sequences  # noqa: F401
+_BY_KEY = {(spec.family, spec.name): spec for spec in ALGORITHMS}
 
 
 def get(family: str, name: str) -> AlgorithmSpec:
     """Look up one algorithm; raises with the valid choices on a miss."""
-    ensure_populated()
-    spec = _REGISTRY.get((family, name))
+    spec = _BY_KEY.get((family, name))
     if spec is None:
         raise ValidationError(
             f"unknown {family} algorithm {name!r}; "
@@ -168,17 +285,14 @@ def get(family: str, name: str) -> AlgorithmSpec:
 
 
 def names(family: str) -> Tuple[str, ...]:
-    """Registered algorithm names of one family, registration order."""
-    ensure_populated()
-    return tuple(n for (f, n) in _REGISTRY if f == family)
+    """Algorithm names of one family, in table order."""
+    return tuple(spec.name for spec in specs(family))
 
 
 def specs(family: Optional[str] = None) -> Tuple[AlgorithmSpec, ...]:
-    """All registered specs, optionally filtered to one family."""
-    ensure_populated()
+    """The table's rows, optionally filtered to one family."""
     return tuple(
-        spec for (f, _n), spec in _REGISTRY.items()
-        if family is None or f == family
+        spec for spec in ALGORITHMS if family is None or spec.family == family
     )
 
 
@@ -218,14 +332,13 @@ def render_table(rows: Optional[Iterable[AlgorithmSpec]] = None) -> str:
 
 
 __all__ = [
+    "ALGORITHMS",
     "FAMILIES",
     "AlgorithmSpec",
     "Capabilities",
     "capability_table",
-    "ensure_populated",
     "get",
     "names",
-    "register",
     "render_table",
     "specs",
 ]

@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.exceptions import NotFittedError, ValidationError
-from ..core.table import Attribute, Table
+from ..core.table import Table
 from ..preprocessing.encode import one_hot_matrix
 
 

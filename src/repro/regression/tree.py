@@ -14,7 +14,7 @@ the classification CART in this repository.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from ..core.base import check_in_range
 from ..core.exceptions import ReproError
 from ..core.random import RandomState, check_random_state
-from .budget import Budget, IterationBudgetExceeded, TimeBudgetExceeded
+from .budget import Budget, IterationBudgetExceeded
 
 
 class TransientFault(ReproError, RuntimeError):
@@ -200,7 +200,7 @@ class ChaosMonkey:
         self.delay_range = (float(dlo), float(dhi))
         self.poll_interval = float(poll_interval)
         self._rng = check_random_state(random_state)
-        #: strike log: one dict per successful SIGKILL.
+        #: strike log: one dict per attempt that died of the monkey's SIGKILL.
         self.strikes: List[dict] = []
 
     @property
@@ -213,8 +213,9 @@ class ChaosMonkey:
 
         Blocking — the supervisor runs it in a daemon thread per
         attempt.  Returns when the strike lands, the child exits on its
-        own, or the monkey is dormant.  ``process`` needs ``pid`` and
-        ``is_alive()`` (a :class:`multiprocessing.Process` fits);
+        own, or the monkey is dormant.  ``process`` needs ``pid``,
+        ``is_alive()`` and ``exitcode`` (a :class:`multiprocessing.Process`
+        fits);
         ``store`` is the :class:`~repro.runtime.checkpoint.CheckpointStore`
         to watch for the checkpoint trigger.
         """
@@ -248,7 +249,13 @@ class ChaosMonkey:
                 time.sleep(self.poll_interval)
 
     def _strike(self, process, trigger: dict) -> None:
-        """Deliver SIGKILL; only a landed kill consumes an allowance."""
+        """Deliver SIGKILL; only a kill that ends the attempt counts.
+
+        A child can exit on its own between the ``is_alive()`` check and
+        the signal.  It is then an unreaped zombie, so the kill succeeds
+        although the attempt did not die of it.  The strike is therefore
+        recorded only once the child's exit status shows SIGKILL.
+        """
         pid = process.pid
         if pid is None or not process.is_alive():
             return
@@ -256,7 +263,11 @@ class ChaosMonkey:
             os.kill(pid, _signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             return
-        self.strikes.append({"pid": pid, **trigger})
+        deadline = time.monotonic() + 5.0
+        while process.exitcode is None and time.monotonic() < deadline:
+            time.sleep(self.poll_interval)
+        if process.exitcode == -_signal.SIGKILL:
+            self.strikes.append({"pid": pid, **trigger})
 
 
 #: disk-protocol stages a :class:`DiskGremlin` can break: the ``op``

@@ -66,7 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.base import check_in_range
 from ..core.exceptions import ReproError, ValidationError
 from .budget import Budget
-from .context import ExecutionContext
+from .context import SMALL_TASK_SECONDS, ExecutionContext, effective_n_jobs
 from . import faults as _faults
 from .fsio import atomic_write_bytes
 from .transport import (
@@ -77,41 +77,9 @@ from .transport import (
     write_result,
 )
 
-#: estimated per-task seconds below which dispatching to a worker costs
-#: more than it saves; :func:`effective_n_jobs` gates to serial under it.
-SMALL_TASK_SECONDS = 0.01
-
 #: pickled-result size (bytes) above which a worker ships its payload
 #: through the file transport instead of the pipe.
 INLINE_RESULT_LIMIT = 1 << 20
-
-
-def effective_n_jobs(n_jobs: Optional[int],
-                     task_seconds: Optional[float] = None) -> int:
-    """Normalise an ``n_jobs`` request into a concrete worker count.
-
-    ``None`` and ``1`` mean serial; ``-1`` means one worker per
-    available core; any other positive integer is taken literally.
-    When the caller knows (or has measured) the per-task cost, passing
-    ``task_seconds`` applies small-task gating: work below
-    :data:`SMALL_TASK_SECONDS` per task runs serial regardless of the
-    request, because dispatch overhead would dominate — the shape that
-    made pre-pool kmeans restarts run at 0.29× "speedup".
-    """
-    if n_jobs is None:
-        return 1
-    if n_jobs == -1:
-        try:
-            jobs = max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux fallback
-            jobs = max(1, os.cpu_count() or 1)
-    else:
-        check_in_range("n_jobs", n_jobs, 1, None)
-        jobs = int(n_jobs)
-    if jobs > 1 and task_seconds is not None \
-            and task_seconds < SMALL_TASK_SECONDS:
-        return 1
-    return jobs
 
 
 def shard_bounds(n: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -866,29 +834,12 @@ def close_shared_pools() -> None:
 atexit.register(close_shared_pools)
 
 
-def resolve_n_jobs(n_jobs: Optional[int], owner: str = "this algorithm") -> int:
-    """Validate an algorithm's ``n_jobs`` argument.
-
-    Centralised so every shard point rejects garbage identically; the
-    return value is a concrete positive worker count.
-    """
-    try:
-        return effective_n_jobs(n_jobs)
-    except ValidationError:
-        raise ValidationError(
-            f"n_jobs for {owner} must be a positive int or -1, got {n_jobs!r}"
-        ) from None
-
-
 __all__ = [
     "INLINE_RESULT_LIMIT",
-    "SMALL_TASK_SECONDS",
     "WorkerCrashed",
     "WorkerPool",
     "close_shared_pools",
-    "effective_n_jobs",
     "fork_per_task_map",
-    "resolve_n_jobs",
     "shard_bounds",
     "shared_pool",
 ]

@@ -11,44 +11,19 @@ they agree exactly on their output):
 * :func:`brute_force_sequences` — exhaustive oracle for tests.
 """
 
+from .._lazy import lazy_exports
+
+# The miners named like their submodules are bound eagerly (see
+# repro._lazy); everything else loads on first use.
 from .apriori_all import apriori_all
-from .episodes import EventSequence, FrequentEpisodes, winepi
 from .gsp import gsp
 from .prefixspan import prefixspan
-from .reference import brute_force_sequences
-from .result import FrequentSequences
 
-from ..registry import (
-    AlgorithmSpec as _Spec,
-    Capabilities as _Caps,
-    register as _register,
-)
-from ..runtime.context import BASIC_POLICIES as _BASIC
-
-# Capability declarations (see repro.registry); the conformance sweep
-# picks these up even though sequences have no CLI subcommand yet.
-for _spec in (
-    _Spec("apriori_all", "sequences", apriori_all,
-          _Caps(budget_resource="candidates", degradation_policies=_BASIC),
-          summary="three-phase litemset sequence mining"),
-    _Spec("gsp", "sequences", gsp,
-          _Caps(checkpointable=True, supervisable=True,
-                budget_resource="candidates", degradation_policies=_BASIC,
-                parallelizable=True, vectorizable=True),
-          summary="generalized sequential patterns with time constraints"),
-    _Spec("prefixspan", "sequences", prefixspan,
-          _Caps(budget_resource="candidates", degradation_policies=_BASIC),
-          summary="pattern growth with pseudo-projection"),
-):
-    _register(_spec)
-
-__all__ = [
-    "apriori_all",
-    "gsp",
-    "prefixspan",
-    "brute_force_sequences",
-    "FrequentSequences",
-    "EventSequence",
-    "FrequentEpisodes",
-    "winepi",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "apriori_all": ("apriori_all",),
+    "episodes": ("EventSequence", "FrequentEpisodes", "winepi"),
+    "gsp": ("gsp",),
+    "prefixspan": ("prefixspan",),
+    "reference": ("brute_force_sequences",),
+    "result": ("FrequentSequences",),
+})

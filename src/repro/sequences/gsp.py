@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.base import check_nonempty
 from ..core.columnar import sequence_bitmap
 from ..core.exceptions import ValidationError
-from ..core.sequences import SequenceDatabase, SequencePattern, pattern_length
+from ..core.sequences import SequenceDatabase, SequencePattern
 from ..associations.apriori import checkpoint_key, min_count_from_support
 from ..associations.levelwise import run_levelwise
 from ..runtime import Budget
@@ -31,8 +31,9 @@ from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
     check_degradation_policy,
+    resolve_n_jobs,
 )
-from ..runtime.parallel import resolve_n_jobs, shard_bounds, shared_pool
+from ..runtime.parallel import shard_bounds, shared_pool
 from ..runtime.transport import SharedRegion, get_object
 from .result import FrequentSequences
 

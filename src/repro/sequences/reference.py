@@ -10,13 +10,13 @@ randomised cases.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Counter as CounterType, Dict, Optional, Set
+from typing import Counter as CounterType, Set
 
 from collections import Counter
 
 from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
-from ..core.sequences import SequenceDatabase, SequencePattern, pattern_length
+from ..core.sequences import SequenceDatabase, SequencePattern
 from ..associations.apriori import min_count_from_support
 from .result import FrequentSequences
 

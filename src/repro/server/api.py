@@ -466,7 +466,15 @@ def build_server(
     ``result_cache=False`` disables result caching; ``cache_dir``
     relocates the cache (default: the store's reserved ``_cache/``
     directory, so cache and results share a filesystem — and a fate).
+
+    Every registry row is resolved here, before the scheduler starts a
+    thread, so a forked job child imports nothing (the scheduler module
+    already imports what the job payloads use): an import in the child
+    would be paid on every job, and one racing a fork can leave a
+    module lock held in the child.
     """
+    for spec in registry.specs():
+        spec.factory, spec.make  # noqa: B018 - resolve and cache
     store = JobStore(store_root)
     cache = None
     if result_cache:

@@ -90,7 +90,12 @@ import time
 from typing import Any, Dict, List, Optional
 
 from .. import registry
+from ..associations.rules import generate_rules
 from ..core.exceptions import ReproError
+from ..datasets.io import load_table, load_transactions
+from ..evaluation.cluster_metrics import sse
+from ..evaluation.metrics import classification_report
+from ..preprocessing.split import train_test_split
 from ..runtime.budget import (
     BudgetExceeded,
     CancellationToken,
@@ -271,9 +276,6 @@ def _pulse(ctx, phase: str, **info: Any) -> None:
 
 
 def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
-    from ..associations import generate_rules
-    from ..datasets import load_transactions
-
     spec = registry.get("associations", algorithm)
     db = load_transactions(dataset)
     min_support = float(params.get("min_support", 0.05))
@@ -318,10 +320,6 @@ def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
 
 
 def _classify_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
-    from ..datasets import load_table
-    from ..evaluation import classification_report
-    from ..preprocessing import train_test_split
-
     spec = registry.get("classification", algorithm)
     table = load_table(dataset)
     target = str(params["target"])
@@ -357,9 +355,6 @@ def _classify_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
 
 
 def _cluster_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
-    from ..datasets import load_table
-    from ..evaluation import sse
-
     spec = registry.get("clustering", algorithm)
     table = load_table(dataset)
     X = table.to_matrix()

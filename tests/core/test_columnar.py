@@ -81,13 +81,6 @@ def test_all_empty_transactions_database():
     assert bitmap.frequent([()], min_count=3) == {(): 3}
 
 
-def test_item_supports_matches_per_item_counts(medium_db):
-    bitmap = PackedBitmap(medium_db)
-    supports = bitmap.item_supports()
-    for item in range(medium_db.n_items):
-        assert supports[item] == _brute_count(medium_db, (item,))
-
-
 # ----------------------------------------------------------------------
 # SequenceBitmap
 # ----------------------------------------------------------------------

@@ -308,6 +308,33 @@ class TestChaosMonkeyUnit:
         assert len(monkey.strikes) <= 2
         assert outcome.attempts == len(monkey.strikes) + 1
 
+    def test_strike_on_a_child_that_already_exited_is_not_counted(self):
+        # The race behind a flaky allowance count: ``is_alive()`` says
+        # running, the child exits 0 before the SIGKILL lands, and the
+        # kill "succeeds" on the unreaped zombie.
+        import multiprocessing
+
+        proc = multiprocessing.get_context("fork").Process(
+            target=_add, args=(1, 2))
+        proc.start()
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+
+        class _RacedChild:
+            pid = proc.pid
+
+            def is_alive(self):
+                return True
+
+            @property
+            def exitcode(self):
+                return proc.exitcode
+
+        monkey = ChaosMonkey(kills=1)
+        monkey._strike(_RacedChild(), trigger={"mode": "delay"})
+        assert proc.exitcode == 0
+        assert monkey.strikes == []
+        assert monkey.remaining == 1
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ChaosMonkey(kills=-1)
