@@ -281,9 +281,8 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
     warm-cache kernel cost.
     """
     from .associations import dhp, partition_miner
-    from .classification import SLIQ
     from .clustering import KMeans
-    from .datasets import agrawal, gaussian_blobs, quest_basket, quest_sequences
+    from .datasets import gaussian_blobs, quest_basket, quest_sequences
     from .sequences import gsp
 
     rows = sizes["kernel_rows"]
@@ -335,21 +334,6 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
         lambda: gsp(sdb, seq_support),
         lambda: gsp(sdb, seq_support, backend="bitmap", n_jobs=n_jobs),
         _sequences_fingerprint,
-    ))
-
-    table = agrawal(table_rows, function=2, noise=0.05, random_state=2024)
-    table_params = {"rows": table_rows}
-
-    def _tree_fingerprint(model) -> bytes:
-        return pickle.dumps(
-            (model.n_nodes(), list(model.predict(table)))
-        )
-
-    entries.append(_entry(
-        "sliq_columnar", table_params, 1, repeat,
-        lambda: SLIQ().fit(table, "group"),
-        lambda: SLIQ(backend="columnar").fit(table, "group"),
-        _tree_fingerprint,
     ))
 
     kmeans_rows = sizes["kernel_kmeans_rows"]

@@ -28,6 +28,7 @@ from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import entropy, information_gain, split_information
 from .pruning import pessimistic_prune
+from .splits import class_scan, first_max
 from .tree_model import (
     CategoricalSplit,
     Leaf,
@@ -160,7 +161,7 @@ class C45(Classifier):
                 self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
                 return Leaf(counts)
 
-        best = self._best_split(indices, weights, available, counts)
+        best = self._best_split(indices, weights, available)
         if best is None:
             return Leaf(counts)
 
@@ -223,7 +224,7 @@ class C45(Classifier):
     # ------------------------------------------------------------------
     # Split search
     # ------------------------------------------------------------------
-    def _best_split(self, indices, weights, available, parent_counts):
+    def _best_split(self, indices, weights, available):
         """Best attribute by gain ratio, among splits clearing min_gain.
 
         Quinlan's refinement — only consider attributes whose raw gain is
@@ -234,9 +235,9 @@ class C45(Classifier):
         for name in available:
             attr = self._features.attribute(name)
             if attr.is_categorical:
-                split = self._eval_categorical(name, indices, weights, parent_counts)
+                split = self._eval_categorical(name, indices, weights)
             else:
-                split = self._eval_numeric(name, indices, weights, parent_counts)
+                split = self._eval_numeric(name, indices, weights)
             if split is not None and split["gain"] >= self.min_gain:
                 candidates.append(split)
         if not candidates:
@@ -245,7 +246,7 @@ class C45(Classifier):
         eligible = [c for c in candidates if c["gain"] >= avg_gain - 1e-12]
         return max(eligible, key=lambda c: c["ratio"])
 
-    def _eval_categorical(self, name, indices, weights, parent_counts):
+    def _eval_categorical(self, name, indices, weights):
         codes = self._features.column(name)[indices]
         known = codes >= 0
         if not known.any():
@@ -275,7 +276,7 @@ class C45(Classifier):
             "ratio": gain / info,
         }
 
-    def _eval_numeric(self, name, indices, weights, parent_counts):
+    def _eval_numeric(self, name, indices, weights):
         values = self._features.column(name)[indices]
         known = ~np.isnan(values)
         if not known.any():
@@ -286,46 +287,22 @@ class C45(Classifier):
         order = np.argsort(v, kind="mergesort")
         v, w, y = v[order], w[order], y[order]
         known_fraction = w.sum() / weights.sum()
-        distinct_boundary = np.nonzero(np.diff(v) > 0)[0]
-        if distinct_boundary.size == 0:
+        # Every candidate threshold (midpoints between distinct values)
+        # scored at once off the cumulative weighted class counts.
+        scan = class_scan(v, y, self._n_classes, "entropy", weights=w)
+        gains = entropy(scan.total) - scan.child
+        i = first_max(gains, scan.valid, floor=-1.0)
+        if i is None:
             return None
-        # Cumulative weighted class counts -> O(n) evaluation of every
-        # candidate threshold (midpoints between distinct values).
-        one_hot = np.zeros((len(y), self._n_classes))
-        one_hot[np.arange(len(y)), y] = 1.0
-        weighted = one_hot * w[:, None]
-        prefix = np.cumsum(weighted, axis=0)
-        total_counts = prefix[-1]
-        parent_entropy = entropy(total_counts)
-        total_mass = total_counts.sum()
-
-        best_gain = -1.0
-        best_threshold = None
-        best_ratio = 0.0
-        for boundary in distinct_boundary:
-            left_counts = prefix[boundary]
-            right_counts = total_counts - left_counts
-            lm, rm = left_counts.sum(), right_counts.sum()
-            if lm <= 0 or rm <= 0:
-                continue
-            child_entropy = (
-                lm / total_mass * entropy(left_counts)
-                + rm / total_mass * entropy(right_counts)
-            )
-            gain = parent_entropy - child_entropy
-            if gain > best_gain:
-                best_gain = gain
-                best_threshold = safe_threshold(v[boundary], v[boundary + 1])
-                info = split_information([left_counts, right_counts])
-                best_ratio = gain / info if info > 0 else 0.0
-        if best_threshold is None:
-            return None
+        boundary = scan.bounds[i]
+        info = split_information([scan.left[i], scan.right[i]])
+        ratio = gains[i] / info if info > 0 else 0.0
         return {
             "kind": "numeric",
             "attribute": name,
-            "threshold": best_threshold,
-            "gain": known_fraction * best_gain,
-            "ratio": known_fraction * best_ratio,
+            "threshold": safe_threshold(v[boundary], v[boundary + 1]),
+            "gain": known_fraction * gains[i],
+            "ratio": known_fraction * ratio,
         }
 
     # ------------------------------------------------------------------

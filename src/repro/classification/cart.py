@@ -16,8 +16,7 @@ documented in DESIGN.md).
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import entropy, gini
 from .pruning import prune_to_alpha
+from .splits import class_scan, first_max, partition_scan, route_missing
 from .tree_model import (
     BinaryCategoricalSplit,
     Leaf,
@@ -147,7 +147,7 @@ class CART(Classifier):
                 self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
                 return Leaf(counts)
 
-        best = self._best_split(indices, counts)
+        best = self._best_split(indices)
         if best is None:
             return Leaf(counts)
         left_idx, right_idx = best["left"], best["right"]
@@ -167,22 +167,20 @@ class CART(Classifier):
             counts,
         )
 
-    def _best_split(self, indices: np.ndarray, counts: np.ndarray):
-        parent_impurity = self._impurity(counts)
-        n_node = len(indices)
+    def _best_split(self, indices: np.ndarray):
         best = None
         best_decrease = self.min_impurity_decrease
         for attr in self._features.attributes:
             if attr.is_numeric:
-                split = self._numeric_split(attr, indices, parent_impurity)
+                split = self._numeric_split(attr, indices)
             else:
-                split = self._categorical_split(attr, indices, parent_impurity)
+                split = self._categorical_split(attr, indices)
             if split is not None and split["decrease"] > best_decrease + 1e-12:
                 best_decrease = split["decrease"]
                 best = split
         return best
 
-    def _numeric_split(self, attr, indices, parent_impurity):
+    def _numeric_split(self, attr, indices):
         values = self._features.column(attr.name)[indices]
         known_mask = ~np.isnan(values)
         known = indices[known_mask]
@@ -193,60 +191,34 @@ class CART(Classifier):
         order = np.argsort(v, kind="mergesort")
         v, y = v[order], y[order]
         known_sorted = known[order]
-        boundaries = np.nonzero(np.diff(v) > 0)[0]
-        if boundaries.size == 0:
-            return None
-        one_hot = np.zeros((len(y), self._n_classes))
-        one_hot[np.arange(len(y)), y] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
-        n_known = len(y)
-
-        best_decrease = -1.0
-        best_boundary = None
-        for b in boundaries:
-            nl = b + 1
-            nr = n_known - nl
-            if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-                continue
-            left_counts = prefix[b]
-            right_counts = total - left_counts
-            child = (
-                nl / n_known * self._impurity(left_counts)
-                + nr / n_known * self._impurity(right_counts)
-            )
-            decrease = (n_known / len(indices)) * (
-                self._impurity(total) - child
-            )
-            if decrease > best_decrease:
-                best_decrease = decrease
-                best_boundary = b
-        if best_boundary is None:
+        scan = class_scan(v, y, self._n_classes, self.criterion,
+                          min_leaf=self.min_samples_leaf)
+        decrease = (len(y) / len(indices)) * (
+            self._impurity(scan.total) - scan.child
+        )
+        i = first_max(decrease, scan.valid, floor=-1.0)
+        if i is None:
             return None
         # Partitioning is by boundary index, so growth cannot degenerate;
         # the safe threshold keeps *prediction* consistent with the
         # training partition when the midpoint rounds up to the higher
         # value.
-        threshold = safe_threshold(v[best_boundary], v[best_boundary + 1])
-        left_idx = known_sorted[: best_boundary + 1]
-        right_idx = known_sorted[best_boundary + 1:]
-        # Missing values follow the heavier branch.
-        missing = indices[~known_mask]
-        if missing.size:
-            if left_idx.size >= right_idx.size:
-                left_idx = np.concatenate([left_idx, missing])
-            else:
-                right_idx = np.concatenate([right_idx, missing])
+        boundary = scan.bounds[i]
+        left_idx, right_idx = route_missing(
+            known_sorted[: boundary + 1],
+            known_sorted[boundary + 1:],
+            indices[~known_mask],
+        )
         return {
             "kind": "numeric",
             "attribute": attr.name,
-            "threshold": threshold,
-            "decrease": best_decrease,
+            "threshold": safe_threshold(v[boundary], v[boundary + 1]),
+            "decrease": decrease[i],
             "left": left_idx,
             "right": right_idx,
         }
 
-    def _categorical_split(self, attr, indices, parent_impurity):
+    def _categorical_split(self, attr, indices):
         codes = self._features.column(attr.name)[indices]
         known_mask = codes >= 0
         known = indices[known_mask]
@@ -255,85 +227,39 @@ class CART(Classifier):
         observed = np.unique(codes[known_mask])
         if observed.size < 2:
             return None
-        per_code_counts = {
-            int(code): np.bincount(
+        code_counts = np.array([
+            np.bincount(
                 self._y[indices[known_mask & (codes == code)]],
                 minlength=self._n_classes,
-            ).astype(np.float64)
+            )
             for code in observed
-        }
-        candidates = self._subset_candidates(observed, per_code_counts)
-        total = np.sum(list(per_code_counts.values()), axis=0)
-        n_known = total.sum()
-
-        best = None
-        best_decrease = -1.0
-        for left_codes in candidates:
-            left_counts = np.sum(
-                [per_code_counts[c] for c in left_codes], axis=0
-            )
-            right_counts = total - left_counts
-            nl, nr = left_counts.sum(), right_counts.sum()
-            if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-                continue
-            child = (
-                nl / n_known * self._impurity(left_counts)
-                + nr / n_known * self._impurity(right_counts)
-            )
-            decrease = (n_known / len(indices)) * (
-                self._impurity(total) - child
-            )
-            if decrease > best_decrease:
-                best_decrease = decrease
-                best = frozenset(left_codes)
-        if best is None:
+        ], dtype=np.float64)
+        candidates, child, valid = partition_scan(
+            observed, code_counts, self.criterion, self.min_samples_leaf,
+            self.max_exhaustive_categories,
+        )
+        total = np.sum(code_counts, axis=0)
+        decrease = (total.sum() / len(indices)) * (
+            self._impurity(total) - child
+        )
+        i = first_max(decrease, valid, floor=-1.0)
+        if i is None:
             return None
+        best = frozenset(candidates[i])
         in_left = np.isin(codes, list(best)) & known_mask
-        left_idx = indices[in_left]
-        right_idx = indices[known_mask & ~in_left]
-        missing = indices[~known_mask]
-        if missing.size:
-            if left_idx.size >= right_idx.size:
-                left_idx = np.concatenate([left_idx, missing])
-            else:
-                right_idx = np.concatenate([right_idx, missing])
+        left_idx, right_idx = route_missing(
+            indices[in_left],
+            indices[known_mask & ~in_left],
+            indices[~known_mask],
+        )
         return {
             "kind": "categorical",
             "attribute": attr.name,
             "left_codes": best,
-            "decrease": best_decrease,
+            "decrease": decrease[i],
             "left": left_idx,
             "right": right_idx,
         }
-
-    def _subset_candidates(self, observed, per_code_counts) -> List[tuple]:
-        """Binary-partition candidates over the observed category codes."""
-        observed = [int(c) for c in observed]
-        if len(observed) <= self.max_exhaustive_categories:
-            out = []
-            for size in range(1, len(observed) // 2 + 1):
-                for subset in combinations(observed, size):
-                    # Avoid enumerating complements twice when the subset
-                    # is exactly half the categories.
-                    if (
-                        2 * size == len(observed)
-                        and observed[0] not in subset
-                    ):
-                        continue
-                    out.append(subset)
-            return out
-        # Breiman ordering: sort categories by the proportion of the
-        # globally most frequent class and scan linear prefixes (exact
-        # for two-class problems, a strong heuristic otherwise).
-        totals = np.sum(list(per_code_counts.values()), axis=0)
-        pivot_class = int(np.argmax(totals))
-        ordered = sorted(
-            observed,
-            key=lambda c: (
-                per_code_counts[c][pivot_class] / max(per_code_counts[c].sum(), 1e-12)
-            ),
-        )
-        return [tuple(ordered[: i + 1]) for i in range(len(ordered) - 1)]
 
     # ------------------------------------------------------------------
     # Prediction and introspection

@@ -18,16 +18,18 @@ The pre-sorted attribute lists come from the shared columnar data plane
 (:func:`repro.core.columnar.presorted_columns`): the argsort index per
 numeric column is memoized on the table object, so repeated fits over
 the same table (cross-validation restarts, ensembles) sort zero times
-after the first.  ``backend="columnar"`` additionally vectorizes the
-per-level attribute scans (cumulative class histograms instead of
-per-row Python bookkeeping) while feeding the exact same split
-arithmetic, so the grown tree is byte-identical.
+after the first.  A level's scan of an attribute takes each growing
+leaf's rows in presorted order and scores all of its boundaries in one
+batch (:func:`repro.classification.splits.class_scan`); categorical
+attributes get one ``bincount`` histogram per leaf and the binary
+subset search CART uses.  The running ``> best + 1e-12`` record across
+attributes and leaves is replayed over each batch, so the tree is the
+one a row-at-a-time scan of the attribute lists grows.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import gini
 from .pruning import pessimistic_prune
+from .splits import class_scan, first_max, partition_scan, running_best
 from .tree_model import (
     BinaryCategoricalSplit,
     Leaf,
@@ -48,30 +51,16 @@ from .tree_model import (
     safe_threshold,
 )
 
-#: attribute-scan backends accepted by :class:`SLIQ`
-SCAN_BACKENDS = ("scan", "columnar")
-
-
 class _Growing:
     """Bookkeeping for one still-growing leaf during breadth-first growth."""
 
-    __slots__ = (
-        "counts",
-        "n_rows",
-        "best_decrease",
-        "best_split",
-        "below",
-        "last_value",
-    )
+    __slots__ = ("counts", "n_rows", "best_decrease", "best_split")
 
     def __init__(self, counts: np.ndarray, n_rows: int):
         self.counts = counts
         self.n_rows = n_rows
         self.best_decrease = 0.0
         self.best_split: Optional[dict] = None
-        # scratch used during a numeric-attribute scan
-        self.below: Optional[np.ndarray] = None
-        self.last_value: Optional[float] = None
 
 
 class SLIQ(Classifier):
@@ -115,15 +104,9 @@ class SLIQ(Classifier):
         prune: bool = False,
         max_exhaustive_categories: int = 8,
         ctx: Optional[ExecutionContext] = None,
-        backend: str = "scan",
     ):
         if max_depth is not None and max_depth < 1:
             raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
-        if backend not in SCAN_BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {SCAN_BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
         check_in_range("min_samples_split", min_samples_split, 2, None)
         check_in_range("min_samples_leaf", min_samples_leaf, 1, None)
         self.max_depth = max_depth
@@ -189,18 +172,10 @@ class SLIQ(Classifier):
             for g in growing.values():
                 g.best_decrease = self.min_gini_decrease
                 g.best_split = None
-            if self.backend == "columnar":
-                self._scan_numeric_columnar(
-                    features, y, leaf_of, growing, presorted, n_classes
-                )
-                self._scan_categorical_columnar(
-                    features, y, leaf_of, growing, n_classes
-                )
-            else:
-                self._scan_numeric(
-                    features, y, leaf_of, growing, presorted, n_classes
-                )
-                self._scan_categorical(features, y, leaf_of, growing, n_classes)
+            self._scan_numeric(
+                features, y, leaf_of, growing, presorted, n_classes
+            )
+            self._scan_categorical(features, y, leaf_of, growing, n_classes)
 
             splitters = {
                 leaf_id: g for leaf_id, g in growing.items() if g.best_split
@@ -260,62 +235,11 @@ class SLIQ(Classifier):
     # Level-wide split evaluation
     # ------------------------------------------------------------------
     def _scan_numeric(self, features, y, leaf_of, growing, presorted, n_classes):
-        for attr in features.attributes:
-            if not attr.is_numeric:
-                continue
-            order = presorted[attr.name]
-            values = features.column(attr.name)
-            for g in growing.values():
-                g.below = np.zeros(n_classes)
-                g.last_value = None
-            for row in order:
-                leaf_id = leaf_of[row]
-                g = growing.get(int(leaf_id))
-                if g is None:
-                    continue
-                v = values[row]
-                if g.last_value is not None and v > g.last_value:
-                    self._consider_numeric(
-                        g, attr.name, safe_threshold(g.last_value, float(v))
-                    )
-                g.below[y[row]] += 1.0
-                g.last_value = v
+        """Score every boundary of every (numeric attribute, leaf) pair.
 
-    def _consider_numeric(self, g: _Growing, name: str, threshold: float):
-        left = g.below
-        right = g.counts - left
-        nl, nr = left.sum(), right.sum()
-        if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-            return
-        total = nl + nr
-        child = nl / total * gini(left) + nr / total * gini(right)
-        decrease = gini(g.counts) - child
-        if decrease > g.best_decrease + 1e-12:
-            g.best_decrease = decrease
-            g.best_split = {
-                "kind": "numeric",
-                "attribute": name,
-                "threshold": threshold,
-            }
-
-    def _scan_numeric_columnar(
-        self, features, y, leaf_of, growing, presorted, n_classes
-    ):
-        """Vectorized numeric scan off the presorted columns.
-
-        For each (attribute, leaf) pair the leaf's rows are extracted in
-        presorted order, the running class histogram becomes one
-        ``cumsum`` over a one-hot matrix, and the Gini decrease of every
-        *boundary between distinct values* — exactly the split points
-        the scalar scan considers — is evaluated in one batch with the
-        same elementwise arithmetic as :meth:`_consider_numeric`.  The
-        scalar scan's sequential ``decrease > best + 1e-12`` fold is
-        replayed over the batch in boundary order (each record-setter
-        found with one vectorized comparison), so the chosen splits are
-        byte-identical.  All class counts are integer-valued floats, so
-        ``cumsum`` totals, ``n_left = boundary index`` and ``n_right =
-        leaf size - boundary index`` are exact and match the scalar
-        accumulations bit for bit.
+        A leaf's rows come out of the attribute's presorted order, and
+        its boundaries are scored in one batch.  Class counts are whole
+        numbers, so the cumulative counts are exact.
         """
         for attr in features.attributes:
             if not attr.is_numeric:
@@ -328,56 +252,25 @@ class SLIQ(Classifier):
                 if rows.size < 2:
                     continue
                 vals = values[rows]
-                boundaries = np.flatnonzero(vals[1:] > vals[:-1]) + 1
-                if boundaries.size == 0:
-                    continue
-                onehot = np.zeros((rows.size, n_classes))
-                onehot[np.arange(rows.size), y[rows]] = 1.0
-                cum = np.cumsum(onehot, axis=0)
-                left = cum[boundaries - 1]
-                right = g.counts - left
-                nl = boundaries.astype(np.float64)
-                nr = float(rows.size) - nl
-                pl = left / nl[:, None]
-                pr = right / nr[:, None]
-                total = nl + nr
-                child = (
-                    nl / total * (1.0 - (pl * pl).sum(axis=1))
-                    + nr / total * (1.0 - (pr * pr).sum(axis=1))
+                scan = class_scan(vals, y[rows], n_classes, "gini",
+                                  min_leaf=self.min_samples_leaf)
+                decrease = gini(g.counts) - scan.child
+                i, g.best_decrease = running_best(
+                    decrease, scan.valid, g.best_decrease
                 )
-                decrease = gini(g.counts) - child
-                valid = (nl >= self.min_samples_leaf) & (
-                    nr >= self.min_samples_leaf
-                )
-                decrease[~valid] = -np.inf
-                pos = 0
-                while pos < decrease.size:
-                    ahead = np.flatnonzero(
-                        decrease[pos:] > g.best_decrease + 1e-12
-                    )
-                    if ahead.size == 0:
-                        break
-                    i = pos + int(ahead[0])
-                    idx = int(boundaries[i])
-                    g.best_decrease = float(decrease[i])
+                if i is not None:
+                    b = int(scan.bounds[i])
                     g.best_split = {
                         "kind": "numeric",
                         "attribute": attr.name,
                         "threshold": safe_threshold(
-                            vals[idx - 1], float(vals[idx])
+                            vals[b], float(vals[b + 1])
                         ),
                     }
-                    pos = i + 1
 
-    def _scan_categorical_columnar(self, features, y, leaf_of, growing,
-                                   n_classes):
-        """Vectorized categorical scan: per-leaf histograms by bincount.
-
-        The (code, class) histogram of each growing leaf is one
-        ``bincount`` over a fused index instead of a per-row Python
-        loop; the partition search itself (:meth:`_best_partition`) is
-        shared with the scalar scan, so split choices are identical.
-        """
+    def _scan_categorical(self, features, y, leaf_of, growing, n_classes):
+        """Per-leaf (code, class) histograms by one ``bincount`` each,
+        then the binary subset search shared with CART."""
         for attr in features.attributes:
             if not attr.is_categorical:
                 continue
@@ -392,95 +285,19 @@ class SLIQ(Classifier):
                 present = np.flatnonzero(flat.sum(axis=1) > 0)
                 if present.size < 2:
                     continue
-                code_counts = {int(code): flat[code] for code in present}
-                best = self._best_partition(code_counts, g.counts)
-                if best is None:
-                    continue
-                decrease, left_codes = best
-                if decrease > g.best_decrease + 1e-12:
-                    g.best_decrease = decrease
+                candidates, child, valid = partition_scan(
+                    present, flat[present], "gini", self.min_samples_leaf,
+                    self.max_exhaustive_categories,
+                )
+                decrease = gini(g.counts) - child
+                i = first_max(decrease, valid)
+                if i is not None and decrease[i] > g.best_decrease + 1e-12:
+                    g.best_decrease = decrease[i]
                     g.best_split = {
                         "kind": "categorical",
                         "attribute": attr.name,
-                        "left_codes": left_codes,
+                        "left_codes": frozenset(candidates[i]),
                     }
-
-    def _scan_categorical(self, features, y, leaf_of, growing, n_classes):
-        for attr in features.attributes:
-            if not attr.is_categorical:
-                continue
-            codes = features.column(attr.name)
-            # One pass builds each growing leaf's per-category histogram.
-            hist: Dict[Tuple[int, int], np.ndarray] = {}
-            for row in range(len(codes)):
-                leaf_id = int(leaf_of[row])
-                if leaf_id not in growing:
-                    continue
-                key = (leaf_id, int(codes[row]))
-                if key not in hist:
-                    hist[key] = np.zeros(n_classes)
-                hist[key][y[row]] += 1.0
-            per_leaf: Dict[int, Dict[int, np.ndarray]] = {}
-            for (leaf_id, code), counts in hist.items():
-                per_leaf.setdefault(leaf_id, {})[code] = counts
-            for leaf_id, code_counts in per_leaf.items():
-                if len(code_counts) < 2:
-                    continue
-                g = growing[leaf_id]
-                best = self._best_partition(code_counts, g.counts)
-                if best is None:
-                    continue
-                decrease, left_codes = best
-                if decrease > g.best_decrease + 1e-12:
-                    g.best_decrease = decrease
-                    g.best_split = {
-                        "kind": "categorical",
-                        "attribute": attr.name,
-                        "left_codes": left_codes,
-                    }
-
-    def _best_partition(self, code_counts, parent_counts):
-        """Best binary category partition by Gini decrease.
-
-        Exhaustive for small arities, greedy class-proportion ordering
-        beyond ``max_exhaustive_categories`` (mirrors CART).
-        """
-        codes = sorted(code_counts)
-        total = parent_counts
-        n_total = total.sum()
-        parent_gini = gini(total)
-
-        def evaluate(subset) -> Optional[float]:
-            left = np.sum([code_counts[c] for c in subset], axis=0)
-            right = total - left
-            nl, nr = left.sum(), right.sum()
-            if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-                return None
-            child = nl / n_total * gini(left) + nr / n_total * gini(right)
-            return parent_gini - child
-
-        candidates: List[tuple]
-        if len(codes) <= self.max_exhaustive_categories:
-            candidates = [
-                subset
-                for size in range(1, len(codes) // 2 + 1)
-                for subset in combinations(codes, size)
-                if not (2 * size == len(codes) and codes[0] not in subset)
-            ]
-        else:
-            pivot = int(np.argmax(total))
-            ordered = sorted(
-                codes,
-                key=lambda c: code_counts[c][pivot] / max(code_counts[c].sum(), 1e-12),
-            )
-            candidates = [tuple(ordered[: i + 1]) for i in range(len(ordered) - 1)]
-
-        best = None
-        for subset in candidates:
-            decrease = evaluate(subset)
-            if decrease is not None and (best is None or decrease > best[0]):
-                best = (decrease, frozenset(subset))
-        return best
 
     # ------------------------------------------------------------------
     # Assembly, prediction, introspection

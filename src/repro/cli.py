@@ -139,9 +139,9 @@ def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend", default=None, metavar="NAME",
         help="vectorized hot-loop backend over the shared columnar data "
-             "plane (values are per-algorithm, e.g. bitset/bitmap/"
-             "columnar/elkan); output is byte-identical to the scalar "
-             "path; only vectorizable algorithms accept this flag",
+             "plane (values are per-algorithm, e.g. bitmap/bitset/elkan); "
+             "output is byte-identical to the scalar path; only "
+             "vectorizable algorithms accept this flag",
     )
 
 
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_budget_flags(classify)
     _add_supervise_flags(classify)
-    _add_backend_flag(classify)
 
     cluster = sub.add_parser("cluster", help="cluster numeric columns")
     cluster.add_argument("path", help="typed CSV (numeric columns used)")
@@ -510,19 +509,15 @@ def _cmd_classify(args) -> int:
         random_state=args.seed,
     )
     resource = spec.capabilities.budget_resource
-    factory_kwargs = {}
-    if args.backend is not None:
-        factory_kwargs["backend"] = args.backend
     if args.time_limit is None and args.max_candidates is None:
-        model = spec.factory(**factory_kwargs)
+        model = spec.factory()
     else:
         if resource is None:
             print(f"error: {args.classifier} does not support --time-limit/"
                   "--max-candidates", file=sys.stderr)
             return 2
         budget = _make_budget(args, resource)
-        model = spec.factory(ctx=_make_context(budget=budget),
-                             **factory_kwargs)
+        model = spec.factory(ctx=_make_context(budget=budget))
     if args.supervise:
         model = _run_supervised(args, _fit_worker, model, train, args.target)
     else:

@@ -278,10 +278,6 @@ class PresortedColumns:
     def nbytes(self) -> int:
         return int(sum(o.nbytes for o in self.order.values()))
 
-    def order_of(self, name: str) -> np.ndarray:
-        """Row indices that sort column ``name`` ascending (stable)."""
-        return self.order[name]
-
 
 class TableMatrix:
     """Cached dense numeric / categorical-code matrices of a ``Table``.

@@ -23,6 +23,7 @@ from ..core.base import check_in_range
 from ..core.exceptions import NotFittedError, ValidationError
 from ..core.table import Table, categorical
 from ..classification.criteria import entropy
+from ..classification.splits import class_scan, first_max
 
 
 class _Discretizer:
@@ -155,28 +156,15 @@ class MDLP(_Discretizer):
         if len(classes) < 2:
             return
         n_classes_total = int(lab.max()) + 1
-        counts = np.bincount(lab, minlength=n_classes_total).astype(float)
-        parent_entropy = entropy(counts)
-
-        one_hot = np.zeros((n, n_classes_total))
-        one_hot[np.arange(n), lab] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        boundaries = np.nonzero(np.diff(v) > 0)[0]
-        best = None
-        for b in boundaries:
-            nl = b + 1
-            nr = n - nl
-            if nl < self.min_samples or nr < self.min_samples:
-                continue
-            left = prefix[b]
-            right = counts - left
-            child = nl / n * entropy(left) + nr / n * entropy(right)
-            gain = parent_entropy - child
-            if best is None or gain > best[0]:
-                best = (gain, b, left, right)
-        if best is None:
+        scan = class_scan(v, lab, n_classes_total, "entropy",
+                          min_leaf=self.min_samples)
+        parent_entropy = entropy(scan.total)
+        gains = parent_entropy - scan.child
+        i = first_max(gains, scan.valid)
+        if i is None:
             return
-        gain, b, left, right = best
+        gain, b = gains[i], scan.bounds[i]
+        left, right = scan.left[i], scan.right[i]
         k = len(classes)
         k1 = int((left > 0).sum())
         k2 = int((right > 0).sum())

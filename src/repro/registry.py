@@ -217,9 +217,7 @@ ALGORITHMS: Tuple[AlgorithmSpec, ...] = (
         _TREE_CAPS, "binary Gini tree with cost-complexity pruning"),
     AlgorithmSpec(
         "sliq", "classification", "repro.classification.sliq:SLIQ",
-        Capabilities(supervisable=True, budget_resource="nodes",
-                     vectorizable=True),
-        "breadth-first tree over pre-sorted attribute lists"),
+        _TREE_CAPS, "breadth-first tree over pre-sorted attribute lists"),
     AlgorithmSpec(
         "nb", "classification", "repro.classification.naive_bayes:NaiveBayes",
         _PLAIN_CAPS, "Gaussian + Laplace-smoothed naive Bayes"),

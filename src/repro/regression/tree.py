@@ -18,6 +18,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..classification.splits import (
+    first_max,
+    route_missing,
+    sse_children,
+    sse_scan,
+)
+from ..classification.tree_model import safe_threshold
 from ..core.base import check_in_range, check_nonempty
 from ..core.exceptions import NotFittedError, ValidationError
 from ..core.table import Attribute, Table
@@ -184,47 +191,25 @@ class RegressionTree:
         order = np.argsort(v, kind="mergesort")
         v, y = v[order], y[order]
         known_sorted = known[order]
-        boundaries = np.nonzero(np.diff(v) > 0)[0]
-        if boundaries.size == 0:
-            return None
-        # Prefix sums give every threshold's SSE in O(n).
-        csum = np.cumsum(y)
-        csum_sq = np.cumsum(y**2)
-        total, total_sq, n = csum[-1], csum_sq[-1], len(y)
-
-        best_decrease, best_boundary = -1.0, None
-        for b in boundaries:
-            nl = b + 1
-            nr = n - nl
-            if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-                continue
-            left_sse = csum_sq[b] - csum[b] ** 2 / nl
-            right_sum = total - csum[b]
-            right_sse = (total_sq - csum_sq[b]) - right_sum**2 / nr
-            decrease = node_sse - (left_sse + right_sse)
-            if decrease > best_decrease:
-                best_decrease = decrease
-                best_boundary = b
-        if best_boundary is None:
+        # Prefix sums give every threshold's SSE at once.
+        bounds, child_sse, valid = sse_scan(v, y, self.min_samples_leaf)
+        decrease = node_sse - child_sse
+        i = first_max(decrease, valid, floor=-1.0)
+        if i is None:
             return None
         # Index-based partition cannot degenerate, but the safe threshold
         # keeps prediction consistent with the training partition when
         # the naive midpoint would round up to the higher value.
-        from ..classification.tree_model import safe_threshold
-
-        threshold = safe_threshold(v[best_boundary], v[best_boundary + 1])
-        left_idx = known_sorted[: best_boundary + 1]
-        right_idx = known_sorted[best_boundary + 1:]
-        missing = indices[~known_mask]
-        if missing.size:
-            if left_idx.size >= right_idx.size:
-                left_idx = np.concatenate([left_idx, missing])
-            else:
-                right_idx = np.concatenate([right_idx, missing])
+        boundary = bounds[i]
+        left_idx, right_idx = route_missing(
+            known_sorted[: boundary + 1],
+            known_sorted[boundary + 1:],
+            indices[~known_mask],
+        )
         return {
             "attribute": attr.name,
-            "threshold": threshold,
-            "decrease": best_decrease,
+            "threshold": safe_threshold(v[boundary], v[boundary + 1]),
+            "decrease": decrease[i],
             "left": left_idx,
             "right": right_idx,
         }
@@ -245,43 +230,32 @@ class RegressionTree:
             member = self._y[indices[known_mask & (codes == code)]]
             stats.append((float(member.mean()), int(code), member))
         stats.sort()
+        members = [member for _, _, member in stats[:-1]]
         y_known = self._y[known]
-        n = len(y_known)
-        best_decrease, best_prefix = -1.0, None
-        left_sum = left_sq = left_n = 0.0
-        total = float(y_known.sum())
-        total_sq = float((y_known**2).sum())
-        for i in range(len(stats) - 1):
-            member = stats[i][2]
-            left_sum += float(member.sum())
-            left_sq += float((member**2).sum())
-            left_n += len(member)
-            right_n = n - left_n
-            if left_n < self.min_samples_leaf or right_n < self.min_samples_leaf:
-                continue
-            left_sse = left_sq - left_sum**2 / left_n
-            right_sum = total - left_sum
-            right_sse = (total_sq - left_sq) - right_sum**2 / right_n
-            decrease = node_sse - (left_sse + right_sse)
-            if decrease > best_decrease:
-                best_decrease = decrease
-                best_prefix = i
-        if best_prefix is None:
+        n_left = np.cumsum([len(m) for m in members]).astype(np.float64)
+        child_sse = sse_children(
+            np.cumsum([float(m.sum()) for m in members]),
+            np.cumsum([float((m**2).sum()) for m in members]),
+            n_left, float(y_known.sum()), float((y_known**2).sum()),
+            len(y_known),
+        )
+        decrease = node_sse - child_sse
+        valid = ((n_left >= self.min_samples_leaf)
+                 & (len(y_known) - n_left >= self.min_samples_leaf))
+        best = first_max(decrease, valid, floor=-1.0)
+        if best is None:
             return None
-        left_codes = frozenset(stats[i][1] for i in range(best_prefix + 1))
+        left_codes = frozenset(code for _, code, _ in stats[: best + 1])
         in_left = np.isin(codes, list(left_codes)) & known_mask
-        left_idx = indices[in_left]
-        right_idx = indices[known_mask & ~in_left]
-        missing = indices[~known_mask]
-        if missing.size:
-            if left_idx.size >= right_idx.size:
-                left_idx = np.concatenate([left_idx, missing])
-            else:
-                right_idx = np.concatenate([right_idx, missing])
+        left_idx, right_idx = route_missing(
+            indices[in_left],
+            indices[known_mask & ~in_left],
+            indices[~known_mask],
+        )
         return {
             "attribute": attr.name,
             "left_codes": left_codes,
-            "decrease": best_decrease,
+            "decrease": decrease[best],
             "left": left_idx,
             "right": right_idx,
         }

@@ -92,6 +92,7 @@ from typing import Any, Dict, List, Optional
 from .. import registry
 from ..associations.rules import generate_rules
 from ..core.exceptions import ReproError
+from ..core.itemsets import FrequentItemsets
 from ..datasets.io import load_table, load_transactions
 from ..evaluation.cluster_metrics import sse
 from ..evaluation.metrics import classification_report
@@ -275,6 +276,42 @@ def _pulse(ctx, phase: str, **info: Any) -> None:
         ctx.on_progress(phase, dict(info))
 
 
+#: longest stretch of finalize work between two liveness beats
+_BEAT_SECONDS = 0.5
+
+
+def _beating(items, ctx, phase: str):
+    """Yield ``items``, with a :func:`_pulse` after every ``_BEAT_SECONDS``
+    of work.
+
+    Rule generation and building the result dicts each run for seconds
+    on a dense mine (2.2 s and 0.85 s for 108,512 rules, one core of an
+    idle 2-CPU x86-64 host), so a beat only at their edges lets a short
+    lease expire.
+    Beating by time, not by count, keeps the event log short.  The
+    clock restarts after the beat: a progress hook that sleeps (the
+    ``pass_delay`` throttle) must not make every later item beat.
+    """
+    last = time.monotonic()
+    for done, item in enumerate(items):
+        if time.monotonic() - last >= _BEAT_SECONDS:
+            _pulse(ctx, phase, done=done)
+            last = time.monotonic()
+        yield item
+
+
+class _BeatingItemsets(FrequentItemsets):
+    """A mine result whose walk by :func:`generate_rules` beats the lease."""
+
+    def __init__(self, itemsets: FrequentItemsets, ctx):
+        super().__init__(itemsets.supports, itemsets.n_transactions,
+                         itemsets.min_support)
+        self.ctx = ctx
+
+    def __iter__(self):
+        return _beating(self.supports, self.ctx, "rules")
+
+
 def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
     spec = registry.get("associations", algorithm)
     db = load_transactions(dataset)
@@ -295,7 +332,9 @@ def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
         "n_itemsets": len(itemsets),
         "itemsets": [
             {"items": [int(item) for item in itemset], "count": int(count)}
-            for itemset, count in itemsets.sorted_by_support()
+            for itemset, count in _beating(
+                itemsets.sorted_by_support(), ctx, "finalize"
+            )
         ],
         "degraded": bool(itemsets.truncated),
         "degraded_reason": itemsets.truncation_reason,
@@ -303,7 +342,8 @@ def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
     min_confidence = params.get("min_confidence")
     if min_confidence is not None:
         _pulse(ctx, "rules")
-        rules = generate_rules(itemsets, float(min_confidence))
+        rules = generate_rules(_BeatingItemsets(itemsets, ctx),
+                               float(min_confidence))
         _pulse(ctx, "finalize", n_rules=len(rules))
         payload["min_confidence"] = float(min_confidence)
         payload["rules"] = [
@@ -314,7 +354,7 @@ def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
                 "confidence": rule.confidence,
                 "lift": rule.lift,
             }
-            for rule in rules
+            for rule in _beating(rules, ctx, "finalize")
         ]
     return payload
 

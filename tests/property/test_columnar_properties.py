@@ -19,11 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.associations import apriori, dhp, partition_miner
-from repro.classification import SLIQ
 from repro.clustering import KMeans
 from repro.core import SequenceDatabase, TransactionDatabase
 from repro.core.columnar import sequence_bitmap, transaction_bitmap
-from repro.datasets import agrawal, gaussian_blobs, quest_basket
+from repro.datasets import gaussian_blobs, quest_basket
 from repro.runtime import Budget, ExecutionContext
 from repro.sequences import gsp
 
@@ -127,16 +126,6 @@ def test_kmeans_elkan_identical_across_jobs(n_jobs):
         full.cluster_centers_.tobytes()
     assert elkan.inertia_ == full.inertia_
     assert elkan.n_iter_ == full.n_iter_
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("function", [1, 2, 5])
-def test_sliq_columnar_identical_trees(function, seed):
-    table = agrawal(400, function=function, noise=0.05, random_state=seed)
-    scan = SLIQ(max_depth=6).fit(table, "group")
-    columnar = SLIQ(max_depth=6, backend="columnar").fit(table, "group")
-    assert pickle.dumps(columnar.tree_) == pickle.dumps(scan.tree_)
-    assert tuple(columnar.predict(table)) == tuple(scan.predict(table))
 
 
 # ----------------------------------------------------------------------

@@ -236,7 +236,6 @@ VECTOR_BACKEND = {
     "partition": "bitset",
     "dhp": "bitmap",
     "gsp": "bitmap",
-    "sliq": "columnar",
     "kmeans": "elkan",
 }
 
@@ -279,11 +278,27 @@ def _backend_argv(spec, data, backend):
     return argv + ["--backend", backend]
 
 
+def _classify_has_no_backend_flag(argv, capsys):
+    """No classifier is vectorizable, so ``repro classify`` has no
+    ``--backend`` flag: argparse rejects it."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", CLI_SPECS, ids=_spec_id)
 def test_backend_flag_tracks_vectorizable_capability(spec, cli_data, capsys):
     from repro.cli import main
 
-    if spec.capabilities.vectorizable:
+    if spec.family == "classification":
+        assert not spec.capabilities.vectorizable
+        _classify_has_no_backend_flag(
+            _backend_argv(spec, cli_data, "columnar"), capsys
+        )
+    elif spec.capabilities.vectorizable:
         argv = _backend_argv(spec, cli_data, VECTOR_BACKEND[spec.name])
         assert main(argv) == 0
     else:
@@ -296,5 +311,9 @@ def test_backend_flag_tracks_vectorizable_capability(spec, cli_data, capsys):
 def test_unknown_backend_value_exits_2(spec, cli_data, capsys):
     from repro.cli import main
 
-    assert main(_backend_argv(spec, cli_data, "warp-drive")) == 2
+    argv = _backend_argv(spec, cli_data, "warp-drive")
+    if spec.family == "classification":
+        _classify_has_no_backend_flag(argv, capsys)
+        return
+    assert main(argv) == 2
     assert "backend" in capsys.readouterr().err

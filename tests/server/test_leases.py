@@ -69,6 +69,36 @@ class TestHeartbeat:
         finally:
             scheduler.stop()
 
+    def test_rule_generation_longer_than_the_lease_keeps_it_fresh(
+        self, store, basket_path, monkeypatch
+    ):
+        """Rule generation runs after the last mining pass; it must beat
+        on its own, or a dense rule set outlives a short lease."""
+        from repro.associations import rules
+
+        original = rules._rules_from_itemset
+
+        def slow(*args):
+            time.sleep(0.006)  # ~421 itemsets: ~2.5 s of rule generation
+            return original(*args)
+
+        # The job's forked child inherits the patched module.
+        monkeypatch.setattr(rules, "_rules_from_itemset", slow)
+        scheduler = Scheduler(store, workers=1, lease_timeout=1.0,
+                              max_failures=2)
+        scheduler.start()
+        try:
+            record = scheduler.submit(
+                "t", "mine", "apriori", basket_path,
+                {"min_support": 0.05, "min_confidence": 0.6},
+            )
+            final = _wait_terminal(store, record.job_id)
+            assert final.state == "done", final.error
+            causes = [f["cause"] for f in store.read_failures(record.job_id)]
+            assert "lease-expired" not in causes
+        finally:
+            scheduler.stop()
+
 
 class TestReaper:
     def test_orphan_running_record_is_reclaimed_and_finishes(

@@ -126,14 +126,6 @@ class TestBackendFlag:
         assert main(base + ["--backend", "bitmap"]) == 0
         assert capsys.readouterr().out == scalar
 
-    def test_classify_backend_output_identical(self, agrawal_file, capsys):
-        base = ["classify", str(agrawal_file), "--target", "group",
-                "--classifier", "sliq"]
-        assert main(base) == 0
-        scalar = capsys.readouterr().out
-        assert main(base + ["--backend", "columnar"]) == 0
-        assert capsys.readouterr().out == scalar
-
     def test_cluster_backend_output_identical(self, blobs_file, capsys):
         base = ["cluster", str(blobs_file), "--k", "3", "--seed", "0"]
         assert main(base) == 0
@@ -188,7 +180,7 @@ class TestAlgorithms:
         assert isinstance(caps["degradation_policies"], list)
         assert caps["vectorizable"] is True
         assert entries["eclat"]["capabilities"]["vectorizable"] is False
-        assert entries["sliq"]["capabilities"]["vectorizable"] is True
+        assert entries["sliq"]["capabilities"]["vectorizable"] is False
 
     def test_choices_come_from_the_registry(self):
         """The subcommand choices are the registry, not a literal list."""
