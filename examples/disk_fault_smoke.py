@@ -14,7 +14,8 @@ a small (fault-op x seed) matrix this script:
    result bytes identical to an uninterrupted reference, or fails with
    a structured ``store-full`` / ``disk-error`` cause — and whatever
    happened, every record left in the store parses (no torn JSON, no
-   stranded temp files after recovery).
+   stranded temp files after recovery), and the live store's in-memory
+   job index counts what a fresh scan of the disk counts.
 
 Exit code 0 means the contract held for every cell; any other exit
 fails CI.
@@ -100,6 +101,13 @@ def run_cell(dataset: str, reference: bytes, op: str, errno_code: int,
             final = wait_terminal(store, record.job_id)
     finally:
         scheduler.stop()
+
+    scanned = JobStore(workdir / "store").counts()
+    if store.counts() != scanned:
+        raise SystemExit(
+            f"STALE INDEX: seed {seed} op {op!r}: the live store counts "
+            f"{store.counts()}, a fresh scan {scanned}"
+        )
 
     if final.state == "done":
         result = store.read_result_bytes(record.job_id)

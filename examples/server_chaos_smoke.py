@@ -9,7 +9,10 @@ The server-level twin of ``chaos_smoke.py``.  This script:
    persisted snapshot — no shutdown hooks, no cleanup,
 4. restarts the server against the same store,
 5. asserts the job is recovered, finishes ``done``, and that its
-   stored result bytes equal an uninterrupted in-process reference.
+   stored result bytes equal an uninterrupted in-process reference,
+6. asserts that ``/healthz`` (answered from the restarted server's
+   in-memory job index) counts the jobs and events a fresh scan of the
+   store counts.
 
 Exit code 0 means the fault-tolerance contract held; any other exit
 fails CI.
@@ -139,6 +142,15 @@ def main() -> int:
         print(f"recovered job finished done after {final.recoveries} "
               f"recovery, {final.attempts} attempts; result is "
               f"byte-identical ({len(result)} bytes)")
+        health = request(port, "GET", "/healthz")
+        scanned = JobStore(store_root)
+        expected = {"jobs": scanned.counts(),
+                    "events_appended": scanned.events_appended_total()}
+        served = {name: health[name] for name in expected}
+        if served != expected:
+            raise SystemExit(f"/healthz {served} differs from a fresh "
+                             f"scan of the store {expected}")
+        print(f"/healthz matches a fresh scan: {served}")
     finally:
         proc.send_signal(signal.SIGTERM)
         try:

@@ -2,14 +2,12 @@
 
 Apriori makes one pass over the transaction database per itemset size:
 pass k counts the candidates produced by *apriori-gen* from the frequent
-(k-1)-itemsets, using a hash tree (the paper's structure), a plain
-dictionary of candidates (simpler, often competitive in Python for small
-candidate sets) or the database's packed item bitmap.
+(k-1)-itemsets, using a hash tree (the paper's structure) or the
+database's packed item bitmap.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, Optional
 
 from ..core.base import check_in_range, check_nonempty
@@ -31,7 +29,7 @@ from .levelwise import degrade_levelwise, run_levelwise
 # n_jobs > 1 paths: a serial run never loads the worker pool.
 
 #: counting backends accepted by :func:`apriori` and ``dhp``
-CANDIDATE_STORES = ("hash_tree", "dict", "bitmap")
+CANDIDATE_STORES = ("hash_tree", "bitmap")
 
 
 def min_count_from_support(n_transactions: int, min_support: float) -> int:
@@ -98,10 +96,7 @@ def apriori(
         Stop after itemsets of this size (``None`` = mine to exhaustion).
     backend:
         The counting backend.  ``"hash_tree"`` for the paper's hash tree,
-        ``"dict"`` for a plain per-candidate subset check (O(|t| choose
-        k) per transaction; fine for short transactions, used mostly for
-        cross-validation in tests), or ``"bitmap"`` for the vectorized
-        kernel over the database's memoized
+        or ``"bitmap"`` for the vectorized kernel over the database's memoized
         :class:`~repro.core.columnar.PackedBitmap` — the database is
         encoded once as a packed item×transaction bit matrix and a
         support is the popcount of the AND of the candidate's item rows
@@ -222,10 +217,10 @@ def _count_shard_task(args, shard_ctx):
     """Pool task: one row shard's count vector, inputs via handles."""
     from ..runtime.transport import get_object
 
-    db_handle, cands_handle, k, backend, bitmap_handle, begin, stop = args
+    db_handle, cands_handle, backend, bitmap_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
     return shard_count_vector(
-        get_object(db_handle), get_object(cands_handle), k, backend,
+        get_object(db_handle), get_object(cands_handle), backend,
         begin, stop, budget=budget,
         bitmap=get_object(bitmap_handle) if bitmap_handle is not None
         else None,
@@ -236,11 +231,11 @@ def _count_candidate_shard_task(args, shard_ctx):
     """Pool task: one candidate slice counted over the full database."""
     from ..runtime.transport import get_object
 
-    db_handle, cands_handle, k, backend, bitmap_handle, begin, stop = args
+    db_handle, cands_handle, backend, bitmap_handle, begin, stop = args
     budget = None if shard_ctx is None else shard_ctx.budget
     db = get_object(db_handle)
     return shard_count_vector(
-        db, get_object(cands_handle)[begin:stop], k, backend,
+        db, get_object(cands_handle)[begin:stop], backend,
         0, len(db), budget=budget,
         bitmap=get_object(bitmap_handle) if bitmap_handle is not None
         else None,
@@ -286,15 +281,13 @@ def count_pass(
         }
     if backend == "hash_tree":
         return _count_with_hash_tree(db, candidates, min_count, budget)
-    if backend == "dict":
-        return _count_with_dict(db, candidates, k, min_count, budget)
     if bitmap is None:
         bitmap = transaction_bitmap(db)
     return bitmap.frequent(candidates, min_count, budget)
 
 
 def shard_count_vector(
-    db, candidates, k, backend, begin, stop,
+    db, candidates, backend, begin, stop,
     budget=None, bitmap=None,
 ):
     """Support counts of ``candidates`` over rows ``[begin, stop)``.
@@ -307,13 +300,9 @@ def shard_count_vector(
     if backend == "bitmap":
         store = bitmap if bitmap is not None else transaction_bitmap(db)
         return store.count(candidates, budget, begin, stop)
-    if backend == "hash_tree":
-        tree = HashTree(candidates)
-        tree.count_transactions(db[begin:stop], budget)
-        return tree.count_vector()
-    counts = _count_with_dict(db[begin:stop], candidates, k,
-                              min_count=0, budget=budget)
-    return list(counts.values())
+    tree = HashTree(candidates)
+    tree.count_transactions(db[begin:stop], budget)
+    return tree.count_vector()
 
 
 def _map_reduce_counts(db, candidates, k, backend, ctx, n_jobs,
@@ -341,7 +330,7 @@ def _map_reduce_counts(db, candidates, k, backend, ctx, n_jobs,
         else _count_shard_task
     try:
         tasks = [
-            (assets.db_handle, cands_handle, k, backend,
+            (assets.db_handle, cands_handle, backend,
              assets.bitmap_handle, begin, stop)
             for begin, stop in shard_bounds(span, n_jobs)
         ]
@@ -364,48 +353,6 @@ def _count_with_hash_tree(db, candidates, min_count, budget=None) -> Dict[Itemse
     tree = HashTree(candidates)
     tree.count_transactions(db, budget)
     return tree.frequent(min_count)
-
-
-def _count_with_dict(db, candidates, k, min_count, budget=None) -> Dict[Itemset, int]:
-    from math import comb
-
-    counts: Dict[Itemset, int] = dict.fromkeys(candidates, 0)
-    # Candidates and transactions are both sorted, so a candidate can only
-    # occur in a transaction starting at a position holding its first item.
-    # Indexing by first item lets whole transactions be skipped when they
-    # share no prefix with any candidate, and shrinks both sides of the
-    # enumerate-vs-probe choice from (txn, all candidates) to
-    # (suffix, one prefix group).
-    groups: Dict[int, list] = {}
-    for cand in candidates:
-        groups.setdefault(cand[0], []).append(cand)
-    by_first = {item: (group, set(group)) for item, group in groups.items()}
-    for i, txn in enumerate(db):
-        if budget is not None and i % 256 == 0:
-            budget.check(phase=f"count-{k}")
-        if len(txn) < k:
-            continue
-        for j in range(len(txn) - k + 1):
-            entry = by_first.get(txn[j])
-            if entry is None:
-                continue
-            group, group_set = entry
-            rest = txn[j + 1:]
-            first = (txn[j],)
-            # Enumerate the suffix's (k-1)-subsets only when that is
-            # cheaper than probing the prefix group; otherwise test the
-            # group's candidates directly.
-            if comb(len(rest), k - 1) <= len(group):
-                for subset in combinations(rest, k - 1):
-                    cand = first + subset
-                    if cand in group_set:
-                        counts[cand] += 1
-            else:
-                rest_set = set(rest)
-                for cand in group:
-                    if rest_set.issuperset(cand[1:]):
-                        counts[cand] += 1
-    return {c: cnt for c, cnt in counts.items() if cnt >= min_count}
 
 
 __all__ = [

@@ -18,11 +18,12 @@ The pre-sorted attribute lists come from the shared columnar data plane
 (:func:`repro.core.columnar.presorted_columns`): the argsort index per
 numeric column is memoized on the table object, so repeated fits over
 the same table (cross-validation restarts, ensembles) sort zero times
-after the first.  A level's scan of an attribute takes each growing
-leaf's rows in presorted order and scores all of its boundaries in one
-batch (:func:`repro.classification.splits.class_scan`); categorical
-attributes get one ``bincount`` histogram per leaf and the binary
-subset search CART uses.  The running ``> best + 1e-12`` record across
+after the first.  A level's scan of an attribute groups the rows by
+growing leaf with one stable sort, so each leaf's rows keep their
+presorted order, and scores all of a leaf's boundaries in one batch
+(:func:`repro.classification.splits.class_scan`); categorical
+attributes get every leaf's histogram from one ``bincount`` and the
+binary subset search CART uses.  The running ``> best + 1e-12`` record across
 attributes and leaves is replayed over each batch, so the tree is the
 one a row-at-a-time scan of the attribute lists grows.
 """
@@ -172,10 +173,19 @@ class SLIQ(Classifier):
             for g in growing.values():
                 g.best_decrease = self.min_gini_decrease
                 g.best_split = None
+            # Slot k holds the rows of the k-th growing leaf, the last
+            # slot those of finished leaves; a stable sort by slot keeps
+            # each leaf's rows in the order they had, and numpy sorts
+            # 8- and 16-bit keys by radix, in linear time.
+            slot_of = np.full(next_leaf_id, len(growing),
+                              dtype=np.min_scalar_type(len(growing)))
+            slot_of[list(growing)] = np.arange(len(growing))
+            slot = slot_of[leaf_of]
+            bounds = np.concatenate(([0], np.cumsum(np.bincount(slot))))
             self._scan_numeric(
-                features, y, leaf_of, growing, presorted, n_classes
+                features, y, slot, bounds, growing, presorted, n_classes
             )
-            self._scan_categorical(features, y, leaf_of, growing, n_classes)
+            self._scan_categorical(features, y, slot, growing, n_classes)
 
             splitters = {
                 leaf_id: g for leaf_id, g in growing.items() if g.best_split
@@ -183,33 +193,32 @@ class SLIQ(Classifier):
             if not splitters:
                 break
             new_growing: Dict[int, _Growing] = {}
-            for leaf_id, g in splitters.items():
+            by_slot = np.argsort(slot, kind="stable")
+            for k, (leaf_id, g) in enumerate(growing.items()):
+                if not g.best_split:
+                    continue
                 split = g.best_split
                 left_id, right_id = next_leaf_id, next_leaf_id + 1
                 next_leaf_id += 2
-                member = leaf_of == leaf_id
+                rows = by_slot[bounds[k]:bounds[k + 1]]
+                column = features.column(split["attribute"])[rows]
                 if split["kind"] == "numeric":
-                    values = features.column(split["attribute"])
-                    goes_left = member & (values <= split["threshold"])
+                    goes_left = column <= split["threshold"]
                 else:
-                    codes = features.column(split["attribute"])
-                    goes_left = member & np.isin(
-                        codes, list(split["left_codes"])
-                    )
-                leaf_of[member & goes_left] = left_id
-                leaf_of[member & ~goes_left] = right_id
+                    goes_left = np.isin(column, list(split["left_codes"]))
                 split_record[leaf_id] = {
                     **split,
                     "left_id": left_id,
                     "right_id": right_id,
                     "counts": g.counts,
                 }
-                for child_id in (left_id, right_id):
-                    child_member = leaf_of == child_id
+                for child_id, child_rows in ((left_id, rows[goes_left]),
+                                             (right_id, rows[~goes_left])):
+                    leaf_of[child_rows] = child_id
                     counts = np.bincount(
-                        y[child_member], minlength=n_classes
+                        y[child_rows], minlength=n_classes
                     ).astype(np.float64)
-                    child = _Growing(counts, int(child_member.sum()))
+                    child = _Growing(counts, int(child_rows.size))
                     if (
                         child.n_rows >= self.min_samples_split
                         and (counts > 0).sum() > 1
@@ -234,21 +243,23 @@ class SLIQ(Classifier):
     # ------------------------------------------------------------------
     # Level-wide split evaluation
     # ------------------------------------------------------------------
-    def _scan_numeric(self, features, y, leaf_of, growing, presorted, n_classes):
+    def _scan_numeric(self, features, y, slot, bounds, growing, presorted,
+                      n_classes):
         """Score every boundary of every (numeric attribute, leaf) pair.
 
-        A leaf's rows come out of the attribute's presorted order, and
-        its boundaries are scored in one batch.  Class counts are whole
-        numbers, so the cumulative counts are exact.
+        One stable sort of the attribute's presorted order by slot hands
+        every leaf its rows in presorted order (``bounds`` delimits the
+        slots), and a leaf's boundaries are scored in one batch.  Class
+        counts are whole numbers, so the cumulative counts are exact.
         """
         for attr in features.attributes:
             if not attr.is_numeric:
                 continue
             order = presorted[attr.name]
             values = features.column(attr.name)
-            leaf_sorted = leaf_of[order]
-            for leaf_id, g in growing.items():
-                rows = order[leaf_sorted == leaf_id]
+            grouped = order[np.argsort(slot[order], kind="stable")]
+            for k, g in enumerate(growing.values()):
+                rows = grouped[bounds[k]:bounds[k + 1]]
                 if rows.size < 2:
                     continue
                 vals = values[rows]
@@ -268,20 +279,22 @@ class SLIQ(Classifier):
                         ),
                     }
 
-    def _scan_categorical(self, features, y, leaf_of, growing, n_classes):
-        """Per-leaf (code, class) histograms by one ``bincount`` each,
-        then the binary subset search shared with CART."""
+    def _scan_categorical(self, features, y, slot, growing, n_classes):
+        """Every leaf's (code, class) histogram from one ``bincount`` over
+        (slot, code, class), then the binary subset search shared with
+        CART."""
+        n_slots = len(growing) + 1
+        slot = slot.astype(np.intp)
         for attr in features.attributes:
             if not attr.is_categorical:
                 continue
             codes = features.column(attr.name)
             n_codes = len(attr.values)
-            for leaf_id, g in growing.items():
-                member = leaf_of == leaf_id
-                flat = np.bincount(
-                    codes[member] * n_classes + y[member],
-                    minlength=n_codes * n_classes,
-                ).reshape(n_codes, n_classes).astype(np.float64)
+            histograms = np.bincount(
+                (slot * n_codes + codes) * n_classes + y,
+                minlength=n_slots * n_codes * n_classes,
+            ).reshape(n_slots, n_codes, n_classes).astype(np.float64)
+            for flat, g in zip(histograms, growing.values()):
                 present = np.flatnonzero(flat.sum(axis=1) > 0)
                 if present.size < 2:
                     continue

@@ -83,7 +83,6 @@ import errno
 import json
 import os
 import queue
-import shutil
 import signal
 import threading
 import time
@@ -735,7 +734,7 @@ class Scheduler:
                 event_info={"cache_hit": True},
             )
         except OSError:
-            shutil.rmtree(self.store.job_dir(job_id), ignore_errors=True)
+            self.store.delete(job_id)
             raise
 
     def _bind_or_rollback(self, keys: List[str], job_id: str) -> None:
@@ -751,7 +750,7 @@ class Scheduler:
             for key in keys:
                 self.store.bind_submission(key, job_id)
         except OSError:
-            shutil.rmtree(self.store.job_dir(job_id), ignore_errors=True)
+            self.store.delete(job_id)
             raise
 
     def cancel(self, job_id: str) -> JobRecord:

@@ -80,7 +80,7 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from ..core.exceptions import ReproError
 from ..runtime.context import progress_event
@@ -225,6 +225,20 @@ def scan_events(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int]:
     return events, end
 
 
+def _repair_tail(path: Path) -> int:
+    """Truncate a torn tail off an event log; returns its valid events."""
+    events, end = scan_events(path)
+    try:
+        # Truncate a torn tail before extending: appending after a
+        # newline-less fragment would weld the fragment onto the new
+        # event and corrupt *both*.
+        if path.exists() and path.stat().st_size > end:
+            os.truncate(path, end)
+    except OSError:
+        pass
+    return len(events)
+
+
 class EventAppender:
     """Single-writer append handle for one job's ``events.jsonl``.
 
@@ -246,24 +260,12 @@ class EventAppender:
         self.path = Path(path)
         self._next_seq: Optional[int] = None
 
-    def _prime(self) -> int:
-        events, end = scan_events(self.path)
-        try:
-            # Truncate a torn tail before extending: appending after a
-            # newline-less fragment would weld the fragment onto the
-            # new event and corrupt *both*.
-            if self.path.exists() and self.path.stat().st_size > end:
-                os.truncate(self.path, end)
-        except OSError:
-            pass
-        return len(events)
-
     def append(self, phase: str,
                info: Optional[Mapping[str, Any]] = None,
                ) -> Optional[Dict[str, Any]]:
         """Append one event; returns it, or ``None`` when dropped."""
         if self._next_seq is None:
-            self._next_seq = self._prime()
+            self._next_seq = _repair_tail(self.path)
         event = progress_event(self._next_seq, phase, info)
         try:
             append_bytes(self.path, _encode_event(event))
@@ -273,6 +275,18 @@ class EventAppender:
         return event
 
 
+class _Entry(NamedTuple):
+    """What the job index keeps of one record."""
+
+    state: str
+    tenant: str
+    created_at: float
+
+    @classmethod
+    def of(cls, record: JobRecord) -> "_Entry":
+        return cls(record.state, record.tenant, record.created_at)
+
+
 class JobStore:
     """Crash-safe persistence for the job server.
 
@@ -280,12 +294,27 @@ class JobStore:
     concurrent HTTP handler threads and scheduler workers can never
     interleave a torn update; durability against process death comes
     from the atomic record writes, not the lock.
+
+    An in-memory index holds each job's state, tenant and
+    ``created_at``, so :meth:`counts` reads no record and :meth:`list`
+    reads only the records it returns.  :meth:`recover` builds it from
+    the records the boot sweep reads anyway; a store that never ran
+    :meth:`recover` builds it with one scan on its first read.  Only
+    this store's own record writes change it, under the lock, so it
+    assumes one live ``JobStore`` per store root (forked job children
+    only touch leases and append events).  ``job.json`` stays the
+    source of truth: :meth:`get` always reads the disk.
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
+        # job id -> _Entry for every readable record; None until built.
+        self._job_index: Optional[Dict[str, _Entry]] = None
+        # job id -> valid events in a terminal job's log, which no one
+        # extends any more.
+        self._final_events: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Paths
@@ -355,15 +384,54 @@ class JobStore:
             try:
                 self._save(record)
             except BaseException:
-                shutil.rmtree(self.job_dir(job_id), ignore_errors=True)
+                self.delete(job_id)
                 raise
             self.append_event(job_id, "submitted", {"tenant": tenant})
             return record
 
+    def delete(self, job_id: str) -> None:
+        """Remove a job's directory: the rollback of a failed admission."""
+        with self._lock:
+            shutil.rmtree(self.job_dir(job_id), ignore_errors=True)
+            self._final_events.pop(job_id, None)
+            self._reindex(job_id)
+
     def _save(self, record: JobRecord) -> None:
+        if record.state not in TERMINAL_STATES:
+            # Only a terminal job's event log is final.
+            self._final_events.pop(record.job_id, None)
         data = (json.dumps(record.to_dict(), sort_keys=True, indent=2)
                 + "\n").encode()
-        _atomic_write_bytes(self.record_path(record.job_id), data)
+        try:
+            _atomic_write_bytes(self.record_path(record.job_id), data)
+        except BaseException:
+            # A fault after the rename (the directory fsync) has already
+            # landed the new record: index what the disk holds.
+            self._reindex(record.job_id)
+            raise
+        if self._job_index is not None:
+            self._job_index[record.job_id] = _Entry.of(record)
+
+    def _reindex(self, job_id: str) -> None:
+        """Make the index follow the disk for one job."""
+        if self._job_index is None:
+            return
+        try:
+            self._job_index[job_id] = _Entry.of(self.get(job_id))
+        except JobStoreError:
+            self._job_index.pop(job_id, None)
+
+    def _jobs(self) -> Dict[str, _Entry]:
+        """The index, built by one scan of the store on first use."""
+        if self._job_index is None:
+            index = {}
+            for entry in self.root.iterdir() if self.root.is_dir() else []:
+                try:
+                    index[entry.name] = _Entry.of(self.get(entry.name))
+                except JobStoreError:
+                    continue
+            self._job_index = index
+        return self._job_index
 
     def get(self, job_id: str) -> JobRecord:
         """Load one record; :class:`UnknownJob` when absent,
@@ -387,30 +455,32 @@ class JobStore:
         tenant: Optional[str] = None,
         states: Optional[Tuple[str, ...]] = None,
     ) -> List[JobRecord]:
-        """All readable records, newest first, optionally filtered."""
+        """All readable records, newest first, optionally filtered.
+
+        The filter runs on the index: only the returned records are read.
+        """
         with self._lock:
+            matches = sorted(
+                (-entry.created_at, job_id)
+                for job_id, entry in self._jobs().items()
+                if (tenant is None or entry.tenant == tenant)
+                and (states is None or entry.state in states)
+            )
             records = []
-            for entry in sorted(self.root.iterdir()) if self.root.is_dir() else []:
-                if not (entry / _RECORD_NAME).exists():
-                    continue
+            for _, job_id in matches:
                 try:
-                    record = self.get(entry.name)
+                    records.append(self.get(job_id))
                 except JobStoreError:
                     continue
-                if tenant is not None and record.tenant != tenant:
-                    continue
-                if states is not None and record.state not in states:
-                    continue
-                records.append(record)
-            records.sort(key=lambda r: (-r.created_at, r.job_id))
             return records
 
     def counts(self, tenant: Optional[str] = None) -> Dict[str, int]:
-        """Per-state job counts (optionally for one tenant)."""
+        """Per-state job counts (optionally for one tenant), off the index."""
         with self._lock:
             tally = {state: 0 for state in STATES}
-            for record in self.list(tenant=tenant):
-                tally[record.state] += 1
+            for entry in self._jobs().values():
+                if tenant is None or entry.tenant == tenant:
+                    tally[entry.state] += 1
             return tally
 
     def update(self, job_id: str, **changes: Any) -> JobRecord:
@@ -478,7 +548,11 @@ class JobStore:
                 except OSError:
                     pass
             phase = "requeued" if to_state == "queued" else to_state
-            self.append_event(job_id, phase, event_info)
+            event = self.append_event(job_id, phase, event_info)
+            if event is not None and to_state in TERMINAL_STATES:
+                # The append counted the log's valid events to number
+                # this one, and a terminal job's log is final.
+                self._final_events[job_id] = event["seq"] + 1
             return record
 
     # ------------------------------------------------------------------
@@ -552,7 +626,10 @@ class JobStore:
                      info: Optional[Mapping[str, Any]] = None,
                      ) -> Optional[Dict[str, Any]]:
         """One-shot lifecycle append (scans for the next seq; fail-soft)."""
-        return EventAppender(self.events_path(job_id)).append(phase, info)
+        with self._lock:
+            event = EventAppender(self.events_path(job_id)).append(phase, info)
+            self._final_events.pop(job_id, None)
+            return event
 
     def read_events(
         self, job_id: str, offset: int = 0,
@@ -568,36 +645,31 @@ class JobStore:
         offset = max(0, int(offset))
         return events[offset:], len(events)
 
-    def repair_events_tail(self, job_id: str) -> bool:
-        """Truncate a torn final event line; True when bytes dropped.
+    def repair_events_tail(self, job_id: str) -> int:
+        """Truncate a torn final event line; returns the valid events.
 
         Run by the boot sweep so a power cut mid-append can never fail
         a job load or weld garbage onto the next appended event.
         """
-        path = self.events_path(job_id)
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return False
-        _events, end = scan_events(path)
-        if end >= size:
-            return False
-        try:
-            os.truncate(path, end)
-        except OSError:
-            return False
-        return True
+        return _repair_tail(self.events_path(job_id))
 
     def events_appended_total(self) -> int:
-        """Valid events across every job's log (the /healthz counter)."""
-        total = 0
-        if not self.root.is_dir():
+        """Valid events across every job's log (the /healthz counter).
+
+        A terminal job's log is final, so it is counted once (by the
+        terminal transition's append, the boot sweep or the first call
+        here); only the logs of unfinished jobs are read on every call.
+        """
+        with self._lock:
+            total = 0
+            for job_id, entry in self._jobs().items():
+                count = self._final_events.get(job_id)
+                if count is None:
+                    count = len(scan_events(self.events_path(job_id))[0])
+                    if entry.state in TERMINAL_STATES:
+                        self._final_events[job_id] = count
+                total += count
             return total
-        for entry in self.root.iterdir():
-            if not entry.is_dir() or entry.name.startswith("_"):
-                continue
-            total += len(scan_events(entry / _EVENTS_NAME)[0])
-        return total
 
     # ------------------------------------------------------------------
     # Submission index (idempotency keys)
@@ -699,67 +771,79 @@ class JobStore:
           are skipped — they are store metadata, not job dirs.
 
         Returns the records that were re-enqueued (poisoned jobs are
-        discoverable via ``list(states=("poisoned",))``).
+        discoverable via ``list(states=("poisoned",))``).  The scan also
+        rebuilds the job index and counts every terminal job's events.
         """
         with self._lock:
-            recovered: List[JobRecord] = []
-            if not self.root.is_dir():
-                return recovered
-            if self.index_dir().is_dir():
-                sweep_stale_tmp(self.index_dir())
-            for entry in sorted(self.root.iterdir()):
-                if not entry.is_dir() or entry.name.startswith("_"):
-                    continue
-                self.repair_events_tail(entry.name)
-                sweep_stale_tmp(entry, pattern=f".{_RECORD_NAME}.tmp")
-                sweep_stale_tmp(entry, pattern=f".{_RESULT_NAME}.tmp")
-                sweep_stale_tmp(entry, pattern=f".{_FAILURES_NAME}.tmp")
-                if not (entry / _RECORD_NAME).exists():
-                    # ``create()`` died between mkdir and the record
-                    # rename: the directory never held a job.
-                    shutil.rmtree(entry, ignore_errors=True)
-                    continue
-                try:
-                    record = self.get(entry.name)
-                except JobStoreError:
-                    self._quarantine(entry.name)
-                    continue
-                if record.state != "running":
-                    continue
-                sweep_stale_tmp(self.scratch_dir(record.job_id))
-                sweep_stale_tmp(self.scratch_dir(record.job_id),
-                                pattern="result-*.pkl")
-                if self.cancel_requested(record.job_id):
-                    self.transition(record.job_id, "cancelled")
-                    continue
-                failures = self.append_failure(record.job_id, {
-                    "cause": "recovery",
-                    "message": "server died while the job was running; "
-                               "re-enqueued from its newest checkpoint",
-                    "attempt": record.attempts,
-                    "recovery": record.recoveries + 1,
-                })
-                if failures >= max_failures:
-                    self.transition(
-                        record.job_id, "poisoned",
-                        recoveries=record.recoveries + 1,
-                        error={
-                            "cause": "poisoned",
-                            "message": f"quarantined after {failures} "
-                                       f"recorded failures "
-                                       f"(cap {max_failures}); see the "
-                                       f"job's failures.json dead-letter "
-                                       f"history",
-                        },
-                    )
-                    continue
-                recovered.append(self.transition(
-                    record.job_id, "queued",
-                    recoveries=record.recoveries + 1,
-                    event_info={"reason": "recovery",
-                                "recovery": record.recoveries + 1},
-                ))
+            try:
+                return self._recover(max_failures)
+            except BaseException:
+                self._job_index = None  # half built: the next read rescans
+                raise
+
+    def _recover(self, max_failures: int) -> List[JobRecord]:
+        recovered: List[JobRecord] = []
+        self._job_index, self._final_events = {}, {}
+        if not self.root.is_dir():
             return recovered
+        if self.index_dir().is_dir():
+            sweep_stale_tmp(self.index_dir())
+        for entry in sorted(self.root.iterdir()):
+            if not entry.is_dir() or entry.name.startswith("_"):
+                continue
+            events = self.repair_events_tail(entry.name)
+            sweep_stale_tmp(entry, pattern=f".{_RECORD_NAME}.tmp")
+            sweep_stale_tmp(entry, pattern=f".{_RESULT_NAME}.tmp")
+            sweep_stale_tmp(entry, pattern=f".{_FAILURES_NAME}.tmp")
+            if not (entry / _RECORD_NAME).exists():
+                # ``create()`` died between mkdir and the record
+                # rename: the directory never held a job.
+                shutil.rmtree(entry, ignore_errors=True)
+                continue
+            try:
+                record = self.get(entry.name)
+            except JobStoreError:
+                self._quarantine(entry.name)
+                continue
+            self._job_index[entry.name] = _Entry.of(record)
+            if record.state != "running":
+                if record.state in TERMINAL_STATES:
+                    self._final_events[entry.name] = events
+                continue
+            sweep_stale_tmp(self.scratch_dir(record.job_id))
+            sweep_stale_tmp(self.scratch_dir(record.job_id),
+                            pattern="result-*.pkl")
+            if self.cancel_requested(record.job_id):
+                self.transition(record.job_id, "cancelled")
+                continue
+            failures = self.append_failure(record.job_id, {
+                "cause": "recovery",
+                "message": "server died while the job was running; "
+                           "re-enqueued from its newest checkpoint",
+                "attempt": record.attempts,
+                "recovery": record.recoveries + 1,
+            })
+            if failures >= max_failures:
+                self.transition(
+                    record.job_id, "poisoned",
+                    recoveries=record.recoveries + 1,
+                    error={
+                        "cause": "poisoned",
+                        "message": f"quarantined after {failures} "
+                                   f"recorded failures "
+                                   f"(cap {max_failures}); see the "
+                                   f"job's failures.json dead-letter "
+                                   f"history",
+                    },
+                )
+                continue
+            recovered.append(self.transition(
+                record.job_id, "queued",
+                recoveries=record.recoveries + 1,
+                event_info={"reason": "recovery",
+                            "recovery": record.recoveries + 1},
+            ))
+        return recovered
 
     def _quarantine(self, job_id: str) -> None:
         """Replace an unreadable record with a minimal ``failed`` one."""

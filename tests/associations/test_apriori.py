@@ -35,11 +35,6 @@ class TestApriori:
             want = brute_force(medium_db, min_support).supports
             assert got == want
 
-    def test_dict_store_matches_hash_tree(self, medium_db):
-        a = apriori(medium_db, 0.05, backend="hash_tree").supports
-        b = apriori(medium_db, 0.05, backend="dict").supports
-        assert a == b
-
     def test_max_size_caps_output(self, medium_db):
         result = apriori(medium_db, 0.02, max_size=2)
         assert result.max_size() <= 2

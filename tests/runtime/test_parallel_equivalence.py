@@ -68,7 +68,7 @@ def test_partition_equivalence(basket, n_jobs):
 
 
 @pytest.mark.parametrize("n_jobs", JOBS)
-@pytest.mark.parametrize("store", ["hash_tree", "dict", "bitmap"])
+@pytest.mark.parametrize("store", ["hash_tree", "bitmap"])
 def test_apriori_equivalence(basket, store, n_jobs):
     serial = apriori(basket, 0.02)
     other = apriori(basket, 0.02, backend=store, n_jobs=n_jobs)
