@@ -20,6 +20,7 @@ exit fails CI.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -85,8 +86,7 @@ def assert_gapless(events):
         raise SystemExit(f"event log has gaps or disorder: {seqs}")
 
 
-def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-cache-chaos-"))
+def smoke(workdir: Path) -> int:
     dataset = workdir / "basket.dat"
     save_transactions(quest_basket(150, random_state=0), str(dataset))
     store_root = workdir / "store"
@@ -188,6 +188,21 @@ def main() -> int:
             proc.wait(timeout=10)
     print("OK: the client-edge robustness contract held")
     return 0
+
+
+
+def main() -> int:
+    """Run the smoke in a work directory kept only if it fails."""
+    workdir = Path(tempfile.mkdtemp(prefix="repro-cache-chaos-"))
+    code = 1
+    try:
+        code = smoke(workdir)
+    finally:
+        if code == 0:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"work directory kept: {workdir}")
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ contract, exercised end to end in under a minute.
 Exit code 0 means the contract held; any other exit fails CI.
 """
 
+import shutil
 import sys
 import tempfile
 import time
@@ -40,7 +41,7 @@ def mine(db, min_support, ctx=None):
     return apriori(db, min_support, ctx=ctx)
 
 
-def main() -> int:
+def smoke(checkpoint_dir: str) -> int:
     db = quest_basket(500, random_state=13)
     reference = apriori(db, 0.02)
     print(f"reference: {len(reference)} itemsets from {len(db)} transactions")
@@ -51,7 +52,7 @@ def main() -> int:
     )
     supervisor = Supervisor(
         retry=RetryPolicy(max_retries=KILLS + 2, base_delay=0.0, jitter=0.0),
-        checkpoint_dir=tempfile.mkdtemp(prefix="chaos-smoke-"),
+        checkpoint_dir=checkpoint_dir,
         monkey=monkey,
     )
     outcome = supervisor.run(mine, db, 0.02)
@@ -69,6 +70,21 @@ def main() -> int:
     print(f"OK: {len(outcome.value)} itemsets identical to the reference "
           f"after {len(monkey.strikes)} mid-run SIGKILLs")
     return 0
+
+
+
+def main() -> int:
+    """Run the smoke in a checkpoint directory kept only if it fails."""
+    checkpoint_dir = tempfile.mkdtemp(prefix="chaos-smoke-")
+    code = 1
+    try:
+        code = smoke(checkpoint_dir)
+    finally:
+        if code == 0:
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
+        else:
+            print(f"checkpoint directory kept: {checkpoint_dir}")
+    return code
 
 
 if __name__ == "__main__":

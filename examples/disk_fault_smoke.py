@@ -23,6 +23,7 @@ fails CI.
 
 import errno
 import json
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -85,9 +86,8 @@ def check_store_integrity(store_root: Path) -> int:
     return checked
 
 
-def run_cell(dataset: str, reference: bytes, op: str, errno_code: int,
-             after, seed: int) -> str:
-    workdir = Path(tempfile.mkdtemp(prefix=f"repro-disk-fault-{seed}-"))
+def run_cell(workdir: Path, dataset: str, reference: bytes, op: str,
+             errno_code: int, after, seed: int) -> str:
     store = JobStore(workdir / "store")
     scheduler = Scheduler(store, workers=1, lease_timeout=2.0,
                           reap_interval=0.25)
@@ -139,8 +139,7 @@ def run_cell(dataset: str, reference: bytes, op: str, errno_code: int,
     return f"{outcome}; {len(gremlin.injected)} faults; {checked} records ok"
 
 
-def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-disk-fault-smoke-"))
+def smoke(workdir: Path) -> int:
     dataset = workdir / "basket.dat"
     save_transactions(quest_basket(150, random_state=0), str(dataset))
 
@@ -149,14 +148,28 @@ def main() -> int:
     )
     print(f"reference result: {len(reference)} bytes")
 
-    for op, errno_code, after, seed in MATRIX:
-        summary = run_cell(str(dataset), reference, op, errno_code, after,
-                           seed)
+    for cell, (op, errno_code, after, seed) in enumerate(MATRIX):
+        summary = run_cell(workdir / f"cell-{cell}", str(dataset), reference,
+                           op, errno_code, after, seed)
         print(f"  op={op:<9} errno={errno.errorcode[errno_code]:<6} "
               f"after={after!s:<6} seed={seed}: {summary}")
 
     print("OK: no wedged job, no torn record, every failure structured")
     return 0
+
+
+def main() -> int:
+    """Run the smoke in a work directory kept only if it fails."""
+    workdir = Path(tempfile.mkdtemp(prefix="repro-disk-fault-smoke-"))
+    code = 1
+    try:
+        code = smoke(workdir)
+    finally:
+        if code == 0:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"work directory kept: {workdir}")
+    return code
 
 
 if __name__ == "__main__":

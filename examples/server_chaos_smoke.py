@@ -20,6 +20,7 @@ fails CI.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -79,8 +80,7 @@ def wait_for(predicate, timeout, message):
     raise SystemExit(f"timed out waiting for {message}")
 
 
-def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-server-chaos-"))
+def smoke(workdir: Path) -> int:
     dataset = workdir / "basket.dat"
     save_transactions(quest_basket(150, random_state=0), str(dataset))
     store_root = workdir / "store"
@@ -160,6 +160,21 @@ def main() -> int:
             proc.wait(timeout=10)
     print("OK: the server-level fault-tolerance contract held")
     return 0
+
+
+
+def main() -> int:
+    """Run the smoke in a work directory kept only if it fails."""
+    workdir = Path(tempfile.mkdtemp(prefix="repro-server-chaos-"))
+    code = 1
+    try:
+        code = smoke(workdir)
+    finally:
+        if code == 0:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"work directory kept: {workdir}")
+    return code
 
 
 if __name__ == "__main__":

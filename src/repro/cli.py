@@ -21,46 +21,18 @@ Seven commands cover the library's workflows without writing Python:
 Every command prints a compact human-readable report to stdout and
 exits non-zero on invalid input.
 
-Dispatch is entirely table-driven: subcommand choices, budget wiring,
-checkpoint/supervision gating and the usage-error messages all derive
-from the capability declarations in :mod:`repro.registry`.  Adding an
-algorithm means adding one row to that table — this module never
-changes.  Building the parser reads only the table, and a command
-imports only what it runs: ``repro algorithms`` loads no numpy and no
-algorithm module, and ``repro mine`` loads no classifier, clusterer,
-sequence miner, server or supervisor module.
-
-``mine``, ``classify`` and ``cluster`` accept execution-budget flags:
-``--time-limit SECONDS`` bounds wall-clock time and ``--max-candidates N``
-bounds the dominant resource (the axis each algorithm declares as its
-``budget_resource`` capability: generated candidates for the miners,
-tree nodes for the tree growers, optimisation steps for most
-clusterers).  When a budget runs out the command still exits 0,
-reporting the partial result with a ``NOTE: budget exhausted`` line;
-without these flags the commands run exactly as before, unbudgeted.
-
-``mine`` and ``cluster`` additionally accept crash-safety flags:
-``--checkpoint-dir DIR`` persists a snapshot at every ``--checkpoint-every``
-N-th pass boundary, ``--resume`` continues from the newest valid snapshot
-in that directory (so a budget-exhausted or killed run can be finished
-later with a fresh ``--time-limit``), and ``--retries N`` retries
-transient faults with exponential backoff.
-
-``mine``, ``classify`` and ``cluster`` also accept process-level
-supervision flags: ``--supervise`` runs the algorithm in a child process
-so that a crash (OOM kill, segfault, operator ``kill -9``) is contained
-and reported instead of taking the CLI down, ``--max-rss-mb MB`` and
-``--hard-time-limit SECONDS`` set hard OS-enforced caps on the child.
-Under ``--supervise``, ``--retries`` relaunches a crashed child, and —
-for ``mine``/``cluster`` with ``--checkpoint-dir`` — every relaunch
-resumes from the newest valid snapshot; supervised ``classify`` restarts
-its (deterministic) fit from scratch.
-
-``mine`` and ``cluster`` accept ``--jobs N`` on algorithms declaring the
-``parallelizable`` capability: work is sharded across N forked workers
-with output byte-identical to the serial run (``--jobs -1`` uses every
-core).  The flag is registry-gated — requesting it on an algorithm
-without the capability exits 2 before any data is loaded.
+``mine``, ``classify`` and ``cluster`` run the job server's code: the
+flags become a run's parameters, :func:`repro.tasks.check` gates them,
+:func:`repro.tasks.run` fits, and the result's ``render`` view is the
+report.  Their parameter flags and algorithm choices come from
+:mod:`repro.registry`; this module adds only the flags that steer the
+process: ``--top``, ``--checkpoint-dir`` / ``--resume`` /
+``--retries`` (resumable runs that retry transient faults), and
+``--supervise`` with its hard caps ``--max-rss-mb`` /
+``--hard-time-limit`` (a child process whose crashes are contained,
+relaunched and resumed from the newest snapshot).  A command imports
+only what it runs: ``repro algorithms`` loads no numpy, and ``repro
+mine`` no classifier, clusterer, sequence miner, server or supervisor.
 
 Exit codes: 0 = success, including budget-degraded partial results
 (flagged by a ``NOTE:`` line); 2 = invalid input or an unsupported
@@ -78,27 +50,28 @@ from typing import List, Optional
 from .core.exceptions import ReproError
 
 
-def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget; exhaustion yields a partial result",
-    )
-    sub.add_argument(
-        "--max-candidates", type=int, default=None, metavar="N",
-        help="resource budget: candidates (mine), tree nodes (classify) "
-             "or optimisation steps (cluster)",
-    )
+def _add_params(sub: argparse.ArgumentParser, kind: str, *names: str) -> None:
+    """Flags generated from the parameter table of ``kind``."""
+    from . import registry
+
+    declared = {param.name: param for param in registry.PARAMETERS[kind]}
+    for name in names:
+        param = declared[name]
+        sub.add_argument(
+            param.flag, dest=param.name,
+            type={"number": float, "integer": int}.get(param.type),
+            default=param.default if param.cli_default is None
+            else param.cli_default,
+            required=param.required, metavar=param.metavar, help=param.help,
+        )
 
 
-def _add_checkpoint_flags(sub: argparse.ArgumentParser) -> None:
+def _add_checkpoint_flags(sub: argparse.ArgumentParser, kind: str) -> None:
     sub.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="persist resumable snapshots of pass boundaries into DIR",
     )
-    sub.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="persist every N-th boundary snapshot (default: 1)",
-    )
+    _add_params(sub, kind, "checkpoint_every")
     sub.add_argument(
         "--resume", action="store_true",
         help="resume from the newest valid snapshot in --checkpoint-dir",
@@ -127,43 +100,26 @@ def _add_supervise_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parallel_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="shard work across N forked workers (-1 = all cores); "
-             "output is byte-identical to the serial run",
-    )
-
-
-def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="vectorized hot-loop backend over the shared columnar data "
-             "plane (values are per-algorithm, e.g. bitmap/bitset/elkan); "
-             "output is byte-identical to the scalar path; only "
-             "vectorizable algorithms accept this flag",
-    )
-
-
-def _usage_error(args, caps, algorithm: str) -> Optional[str]:
+def _usage_error(args, spec, params) -> Optional[str]:
     """One-line actionable message for a bad flag combination, or None.
 
-    Centralises the CLI's exit-2 contract against the algorithm's
-    declared :class:`~repro.registry.Capabilities`: ``--resume`` without
-    a checkpoint directory, checkpoint/supervision flags on an algorithm
-    whose capabilities cannot honour them, and hard-limit flags without
-    ``--supervise`` all fail fast here — before any data is loaded.
+    The CLI's exit-2 contract, checked before any data is loaded: the
+    process flags against each other and the algorithm's capabilities,
+    and the parameters through :func:`repro.tasks.check`, the server's
+    admission check too.
     """
+    from . import tasks
+
+    caps = spec.capabilities
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
     if getattr(args, "resume", False) and checkpoint_dir is None:
         return "--resume requires --checkpoint-dir"
     if checkpoint_dir is not None and not caps.checkpointable:
-        return f"{algorithm} does not support --checkpoint-dir/--resume"
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs != 1 and not caps.parallelizable:
-        return f"{algorithm} does not support --jobs"
-    if getattr(args, "backend", None) is not None and not caps.vectorizable:
-        return f"{algorithm} does not support --backend"
+        return f"{spec.name} does not support --checkpoint-dir/--resume"
+    try:
+        tasks.check(args.command, spec.name, params, flags=True)
+    except tasks.ParamError as exc:
+        return str(exc)
     if not args.supervise:
         if args.max_rss_mb is not None:
             return "--max-rss-mb requires --supervise"
@@ -172,110 +128,11 @@ def _usage_error(args, caps, algorithm: str) -> Optional[str]:
         return None
     if not caps.supervisable:
         return (
-            f"{algorithm} does not support checkpoint/resume, so "
+            f"{spec.name} does not support checkpoint/resume, so "
             "--supervise cannot recover it after a crash; pick a "
             "checkpoint-aware algorithm or drop --supervise"
         )
     return None
-
-
-def _run_supervised(args, target, *target_args, **target_kwargs):
-    """Run ``target`` under a Supervisor built from the CLI flags.
-
-    Returns the target's result; a child that crashes until the retry
-    allowance is exhausted raises
-    :class:`~repro.runtime.supervisor.SupervisedCrash`, which ``main``
-    converts into exit code 3 plus a JSON report on stderr.
-    """
-    from .runtime import HardLimits, RetryPolicy, Supervisor
-
-    limits = None
-    if args.max_rss_mb is not None or args.hard_time_limit is not None:
-        limits = HardLimits(
-            max_rss_mb=args.max_rss_mb,
-            wall_time_limit=args.hard_time_limit,
-        )
-    retries = getattr(args, "retries", 0)
-    retry = RetryPolicy(max_retries=retries, random_state=0) if retries else None
-    supervisor = Supervisor(
-        limits=limits,
-        retry=retry,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", 1),
-        resume=getattr(args, "resume", False),
-    )
-    outcome = supervisor.run(target, *target_args, **target_kwargs)
-    if outcome.reports:
-        causes = ", ".join(report.cause for report in outcome.reports)
-        print(f"NOTE: supervised run recovered after "
-              f"{len(outcome.reports)} crash(es) ({causes})")
-    return outcome.value
-
-
-def _fit_worker(model, table, target):
-    """Supervised-child entry for ``classify``: fit and ship the model."""
-    model.fit(table, target)
-    return model
-
-
-def _cluster_fit_worker(model, X, ctx=None):
-    """Supervised-child entry for ``cluster``.
-
-    The supervisor injects a per-attempt ``ctx`` carrying the resuming
-    checkpointer; it must reach the model before ``fit``.  Only the
-    checkpointer is adopted — the model keeps the budget it was built
-    with.
-    """
-    if ctx is not None and ctx.checkpointer is not None:
-        model.ctx.checkpointer = ctx.checkpointer
-    model.fit(X)
-    return model
-
-
-def _make_checkpointer(args):
-    """Checkpointer from the CLI flags, or None when no dir was given."""
-    if args.checkpoint_dir is None:
-        return None
-    from .runtime import Checkpointer
-
-    return Checkpointer(
-        args.checkpoint_dir, every=args.checkpoint_every, resume=args.resume
-    )
-
-
-def _with_retries(args, fn):
-    """Run ``fn`` directly, or under a RetryPolicy when --retries is set."""
-    if not args.retries:
-        return fn()
-    from .runtime import RetryPolicy
-
-    policy = RetryPolicy(max_retries=args.retries, random_state=0)
-    return policy.run(fn)
-
-
-def _make_budget(args, resource: str):
-    """Budget from the CLI flags, or None when neither flag was given.
-
-    ``resource`` is the algorithm's declared ``budget_resource``
-    capability (``"candidates"`` / ``"nodes"`` / ``"expansions"``),
-    mapped onto the matching Budget axis.  Returning None keeps the
-    unbudgeted call path byte-identical to a build without these flags.
-    """
-    if args.time_limit is None and args.max_candidates is None:
-        return None
-    from .runtime import Budget
-
-    kwargs = {"time_limit": args.time_limit}
-    if args.max_candidates is not None:
-        kwargs[f"max_{resource}"] = args.max_candidates
-    return Budget(**kwargs)
-
-
-def _make_context(budget=None, checkpoint=None):
-    """ExecutionContext bundling the CLI-built budget and checkpointer."""
-    from .runtime.context import ExecutionContext
-
-    return ExecutionContext(budget=budget, checkpointer=checkpoint)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,36 +146,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     mine = sub.add_parser("mine", help="frequent itemsets and rules")
     mine.add_argument("path", help="FIMI transaction file")
-    mine.add_argument("--min-support", type=float, default=0.05)
-    mine.add_argument("--min-confidence", type=float, default=0.6)
+    _add_params(mine, "mine", "min_support", "min_confidence")
     mine.add_argument(
-        "--miner",
+        "--miner", dest="algorithm",
         choices=list(registry.names("associations")),
         default="apriori",
     )
     mine.add_argument("--top", type=int, default=10,
                       help="rules/itemsets to display")
-    _add_budget_flags(mine)
-    _add_checkpoint_flags(mine)
+    _add_params(mine, "mine", "time_limit", "max_candidates")
+    _add_checkpoint_flags(mine, "mine")
     _add_supervise_flags(mine)
-    _add_parallel_flags(mine)
-    _add_backend_flag(mine)
+    _add_params(mine, "mine", "n_jobs", "backend")
 
     classify = sub.add_parser("classify", help="train/evaluate a classifier")
     classify.add_argument("path", help="typed CSV (name:num / name:cat)")
-    classify.add_argument("--target", required=True)
+    _add_params(classify, "classify", "target")
     classify.add_argument(
-        "--classifier",
+        "--classifier", dest="algorithm",
         choices=list(registry.names("classification")),
         default="c45",
     )
-    classify.add_argument("--test-fraction", type=float, default=0.3)
-    classify.add_argument("--seed", type=int, default=0)
+    _add_params(classify, "classify", "test_fraction", "seed")
     classify.add_argument(
         "--retries", type=int, default=0, metavar="N",
         help="with --supervise: relaunch a crashed fit up to N times",
     )
-    _add_budget_flags(classify)
+    _add_params(classify, "classify", "time_limit", "max_candidates")
     _add_supervise_flags(classify)
 
     cluster = sub.add_parser("cluster", help="cluster numeric columns")
@@ -328,15 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(registry.names("clustering")),
         default="kmeans",
     )
-    cluster.add_argument("--k", type=int, default=3)
-    cluster.add_argument("--eps", type=float, default=0.5)
-    cluster.add_argument("--min-samples", type=int, default=5)
-    cluster.add_argument("--seed", type=int, default=0)
-    _add_budget_flags(cluster)
-    _add_checkpoint_flags(cluster)
+    _add_params(cluster, "cluster", "k", "eps", "min_samples", "seed",
+                "time_limit", "max_candidates")
+    _add_checkpoint_flags(cluster, "cluster")
     _add_supervise_flags(cluster)
-    _add_parallel_flags(cluster)
-    _add_backend_flag(cluster)
+    _add_params(cluster, "cluster", "n_jobs", "backend")
 
     generate = sub.add_parser("generate", help="emit synthetic data")
     generate.add_argument(
@@ -441,153 +291,62 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
-def _cmd_mine(args) -> int:
-    from . import registry
-    from .associations import generate_rules
-    from .datasets import load_transactions
+def _cmd_run(args) -> int:
+    """``repro mine|classify|cluster``: flags → parameters → run → report.
 
-    spec = registry.get("associations", args.miner)
-    usage = _usage_error(args, spec.capabilities, args.miner)
+    ``--supervise`` runs the whole run (load, fit, evaluate) in a
+    supervised child, which gets its checkpointer through ``ctx``
+    exactly like a server job; a child that keeps crashing raises
+    :class:`~repro.runtime.supervisor.SupervisedCrash`, which ``main``
+    turns into exit code 3 and a JSON report on stderr.
+    """
+    from . import registry, tasks
+    from .runtime import Checkpointer, ExecutionContext, RetryPolicy
+
+    kind = args.command
+    spec = tasks.spec(kind, args.algorithm)
+    params = {param.name: getattr(args, param.name)
+              for param in registry.PARAMETERS[kind] if param.flag}
+    usage = _usage_error(args, spec, params)
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return 2
-    db = load_transactions(args.path)
-    print(f"{len(db)} transactions, {db.n_items} items, "
-          f"avg length {db.avg_transaction_length():.1f}")
-    budget = _make_budget(args, spec.capabilities.budget_resource)
-    kwargs = {}
-    if budget is not None:
-        kwargs["on_exhausted"] = "truncate"
-    if args.jobs is not None and spec.capabilities.parallelizable:
-        kwargs["n_jobs"] = args.jobs
-    if args.backend is not None:
-        kwargs["backend"] = args.backend
+    run = (kind, args.algorithm, args.path, params)
+    budget = tasks.job_budget(spec.capabilities, None, params)
+    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    retry = None
+    if args.retries:
+        retry = RetryPolicy(max_retries=args.retries, random_state=0)
+    checkpointer = None
+    if checkpoint_dir is not None and not args.supervise:
+        checkpointer = Checkpointer(checkpoint_dir, every=args.checkpoint_every,
+                                    resume=args.resume)
+    ctx = None
+    if budget is not None or checkpointer is not None:
+        ctx = ExecutionContext(budget=budget, checkpointer=checkpointer)
     if args.supervise:
-        # The supervisor injects a per-attempt checkpointer into this
-        # context (ExecutionContext.replace), so the budget survives
-        # every relaunch.
-        if budget is not None:
-            kwargs["ctx"] = _make_context(budget=budget)
-        itemsets = _run_supervised(
-            args, spec.factory, db, args.min_support, **kwargs
-        )
+        from .runtime import HardLimits, Supervisor
+
+        tasks.preload([spec])
+        limits = None
+        if args.max_rss_mb is not None or args.hard_time_limit is not None:
+            limits = HardLimits(max_rss_mb=args.max_rss_mb,
+                                wall_time_limit=args.hard_time_limit)
+        outcome = Supervisor(
+            limits=limits, retry=retry, checkpoint_dir=checkpoint_dir,
+            checkpoint_every=getattr(args, "checkpoint_every", 1),
+            resume=getattr(args, "resume", False),
+        ).run(tasks.run, *run, ctx=ctx)
+        if outcome.reports:
+            causes = ", ".join(report.cause for report in outcome.reports)
+            print(f"NOTE: supervised run recovered after "
+                  f"{len(outcome.reports)} crash(es) ({causes})")
+        result = outcome.value
+    elif retry is not None:
+        result = retry.run(tasks.run, *run, ctx)
     else:
-        checkpoint = _make_checkpointer(args)
-        if budget is not None or checkpoint is not None:
-            kwargs["ctx"] = _make_context(budget=budget, checkpoint=checkpoint)
-        itemsets = _with_retries(
-            args, lambda: spec.factory(db, args.min_support, **kwargs)
-        )
-    if getattr(itemsets, "truncated", False):
-        print(f"NOTE: budget exhausted -- partial result "
-              f"({itemsets.truncation_reason})")
-    print(f"{len(itemsets)} frequent itemsets at support "
-          f">= {args.min_support} (largest size {itemsets.max_size()})")
-    for itemset, count in itemsets.sorted_by_support()[: args.top]:
-        print(f"  {set(itemset)}  count={count}")
-    rules = generate_rules(itemsets, args.min_confidence)
-    print(f"{len(rules)} rules at confidence >= {args.min_confidence}")
-    for rule in rules[: args.top]:
-        print(f"  {rule}")
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    from . import registry
-    from .datasets import load_table
-    from .evaluation import classification_report
-    from .preprocessing import train_test_split
-
-    spec = registry.get("classification", args.classifier)
-    usage = _usage_error(args, spec.capabilities, args.classifier)
-    if usage is not None:
-        print(f"error: {usage}", file=sys.stderr)
-        return 2
-    table = load_table(args.path)
-    train, test = train_test_split(
-        table, args.test_fraction, stratify=args.target,
-        random_state=args.seed,
-    )
-    resource = spec.capabilities.budget_resource
-    if args.time_limit is None and args.max_candidates is None:
-        model = spec.factory()
-    else:
-        if resource is None:
-            print(f"error: {args.classifier} does not support --time-limit/"
-                  "--max-candidates", file=sys.stderr)
-            return 2
-        budget = _make_budget(args, resource)
-        model = spec.factory(ctx=_make_context(budget=budget))
-    if args.supervise:
-        model = _run_supervised(args, _fit_worker, model, train, args.target)
-    else:
-        model.fit(train, args.target)
-    if getattr(model, "truncated_", False):
-        print(f"NOTE: budget exhausted -- tree truncated "
-              f"({model.truncation_reason_})")
-    accuracy = model.score(test)
-    print(f"{args.classifier} on {args.path}: "
-          f"train {train.n_rows} / test {test.n_rows}")
-    print(f"test accuracy: {accuracy:.4f}")
-    y_true = [test.value(i, args.target) for i in range(test.n_rows)]
-    y_pred = model.predict(test)
-    for label, entry in classification_report(y_true, y_pred).items():
-        print(
-            f"  class {label!r}: precision={entry.precision:.3f} "
-            f"recall={entry.recall:.3f} f1={entry.f1:.3f} (n={entry.support})"
-        )
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    from . import registry
-    from .datasets import load_table
-    from .evaluation import silhouette, sse
-
-    spec = registry.get("clustering", args.algorithm)
-    usage = _usage_error(args, spec.capabilities, args.algorithm)
-    if usage is not None:
-        print(f"error: {usage}", file=sys.stderr)
-        return 2
-    table = load_table(args.path)
-    X = table.to_matrix()
-    if X.shape[1] == 0:
-        print("error: no numeric columns to cluster", file=sys.stderr)
-        return 2
-    budget = _make_budget(args, spec.capabilities.budget_resource)
-    checkpoint = None if args.supervise else _make_checkpointer(args)
-    make_kwargs = {}
-    if args.jobs is not None and spec.capabilities.parallelizable:
-        make_kwargs["n_jobs"] = args.jobs
-    if args.backend is not None:
-        make_kwargs["backend"] = args.backend
-    model = spec.make(
-        _make_context(budget=budget, checkpoint=checkpoint),
-        k=args.k, eps=args.eps, min_samples=args.min_samples, seed=args.seed,
-        **make_kwargs,
-    )
-    if args.supervise:
-        model = _run_supervised(args, _cluster_fit_worker, model, X)
-        labels = model.labels_
-    else:
-        labels = _with_retries(args, lambda: model.fit_predict(X))
-    if getattr(model, "truncated_", False):
-        print(f"NOTE: budget exhausted -- partial clustering "
-              f"({model.truncation_reason_})")
-    clusters = sorted(set(labels.tolist()) - {-1})
-    noise = int((labels == -1).sum())
-    print(f"{args.algorithm} on {args.path}: {len(X)} points, "
-          f"{X.shape[1]} features")
-    print(f"clusters: {len(clusters)}" + (f", noise points: {noise}" if noise else ""))
-    for cluster_id in clusters:
-        member = labels == cluster_id
-        centroid = X[member].mean(axis=0)
-        rounded = ", ".join(f"{v:.3g}" for v in centroid)
-        print(f"  cluster {cluster_id}: {int(member.sum())} points, "
-              f"centroid ({rounded})")
-    print(f"SSE: {sse(X, labels):.2f}")
-    if len(clusters) >= 2:
-        print(f"silhouette: {silhouette(X, labels):.3f}")
+        result = tasks.run(*run, ctx)
+    print(result.render(getattr(args, "top", None)))
     return 0
 
 
@@ -663,9 +422,9 @@ def _cmd_serve(args) -> int:
 
 
 COMMANDS = {
-    "mine": _cmd_mine,
-    "classify": _cmd_classify,
-    "cluster": _cmd_cluster,
+    "mine": _cmd_run,
+    "classify": _cmd_run,
+    "cluster": _cmd_run,
     "generate": _cmd_generate,
     "bench": _cmd_bench,
     "algorithms": _cmd_algorithms,

@@ -1,11 +1,12 @@
-"""CLI adapters for the clusterers in :data:`repro.registry.ALGORITHMS`.
+"""Adapters for the clusterers in :data:`repro.registry.ALGORITHMS`.
 
 Clustering constructors take per-algorithm hyper-parameters, so each
-registry row names a ``make(ctx, **params)`` here that maps the shared
-CLI surface (k / eps / min-samples / seed) onto its estimator.  Extra
-params are accepted and ignored so the CLI and the job server can pass
-their full flag set uniformly.  Each adapter imports only its own
-estimator, so ``repro cluster`` loads one clustering module.
+registry row names a ``make(ctx, **params)`` here that maps the
+``cluster`` parameters of :mod:`repro.tasks` (k / eps / min_samples /
+seed) onto its estimator.  Extra params are accepted and ignored so
+:func:`repro.tasks.run` can pass the full set uniformly.  Each adapter
+imports only its own estimator, so ``repro cluster`` loads one
+clustering module.
 """
 
 from __future__ import annotations

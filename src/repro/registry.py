@@ -2,12 +2,13 @@
 
 :data:`ALGORITHMS` holds one row per miner, classifier, clusterer and
 sequence miner: its name, family, a ``"module:attr"`` path to the
-factory (and to the CLI ``make`` adapter), its :class:`Capabilities`
-and a one-line summary.  The CLI derives its subcommand choices, usage
-errors, budget wiring and supervisor resume policy from this table, so
-adding an algorithm means adding one row here (and, for a clusterer,
-its adapter in :mod:`repro.clustering.adapters`) — ``cli.py`` never
-changes.
+factory (and to the ``make`` adapter), its :class:`Capabilities` and a
+one-line summary; :data:`PARAMETERS` declares once what a run of each
+job kind takes.  The CLI builds its flags from the two tables, and it
+and the job server both run through :mod:`repro.tasks`, so adding an
+algorithm means adding one row here (and, for a clusterer, its adapter
+in :mod:`repro.clustering.adapters`) — the CLI and the server never
+change.
 
 Reading the table imports nothing beyond this module: ``repro
 algorithms`` and the CLI's argument parser never load numpy or an
@@ -24,7 +25,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .core.exceptions import ValidationError
 
@@ -113,7 +114,7 @@ class AlgorithmSpec:
 
     ``factory_path`` names the public callable (miner function or
     estimator class) as ``"module:attr"``.  ``make_path`` optionally
-    names a CLI adapter ``make(ctx, **params)`` returning a ready-to-fit
+    names an adapter ``make(ctx, **params)`` returning a ready-to-fit
     estimator, for families whose constructors take per-algorithm
     hyper-parameters; families with a uniform call shape (the miners)
     are invoked through ``factory`` directly.
@@ -139,7 +140,7 @@ class AlgorithmSpec:
 
     @cached_property
     def make(self) -> Optional[Callable]:
-        """The CLI adapter, imported on first read (None without one)."""
+        """The adapter, imported on first read (None without one)."""
         return None if self.make_path is None else _resolve(self.make_path)
 
     def to_dict(self) -> Dict[str, object]:
@@ -270,6 +271,98 @@ ALGORITHMS: Tuple[AlgorithmSpec, ...] = (
 
 _BY_KEY = {(spec.family, spec.name): spec for spec in ALGORITHMS}
 
+#: job ``kind`` → registry family.
+FAMILY_BY_KIND = {
+    "mine": "associations",
+    "classify": "classification",
+    "cluster": "clustering",
+}
+
+
+class Param(NamedTuple):
+    """One declared parameter of a job kind.
+
+    ``gate`` names the :class:`~repro.registry.Capabilities` field an
+    algorithm must declare to take a value other than the default (a
+    tuple-valued one lists the values it takes).  ``neutral`` marks a
+    parameter a suite proves cannot change the result bytes: the result
+    cache leaves it out of the key.  ``flag`` is the CLI flag (None: a
+    job-only parameter), and ``cli_default`` the CLI's default where it
+    differs from a job's.
+    """
+
+    name: str
+    type: str
+    default: Any = None
+    required: bool = False
+    gate: Optional[str] = None
+    neutral: bool = False
+    flag: Optional[str] = None
+    cli_default: Any = None
+    metavar: Optional[str] = None
+    help: Optional[str] = None
+
+
+_BUDGET = (
+    Param("time_limit", "number", gate="budget_resource",
+          flag="--time-limit", metavar="SECONDS",
+          help="wall-clock budget; exhaustion yields a partial result"),
+    Param("max_candidates", "integer", gate="budget_resource",
+          flag="--max-candidates", metavar="N",
+          help="resource budget: candidates (mine), tree nodes (classify) "
+               "or optimisation steps (cluster)"),
+)
+_FAST = (
+    # Neutral by the resume suites (tests/runtime/test_resume_*.py).
+    Param("checkpoint_every", "integer", 1, gate="checkpointable",
+          neutral=True, flag="--checkpoint-every", metavar="N",
+          help="persist every N-th boundary snapshot (default: 1)"),
+    # Neutral by tests/runtime/test_parallel_equivalence.py.
+    Param("n_jobs", "integer", 1, gate="parallelizable", neutral=True,
+          flag="--jobs", metavar="N",
+          help="shard work across N forked workers (-1 = all cores); "
+               "output is byte-identical to the serial run"),
+    # Neutral by tests/property/test_columnar_properties.py.
+    Param("backend", "string", gate="vectorizable", neutral=True,
+          flag="--backend", metavar="NAME",
+          help="vectorized hot-loop backend over the shared columnar data "
+               "plane (values are per-algorithm, e.g. bitmap/bitset/elkan); "
+               "output is byte-identical to the scalar path; only "
+               "vectorizable algorithms accept this flag"),
+)
+# Job-only test hooks (repro.server.scheduler): they never change the
+# result, but stay in the cache key so that a chaos job runs, not hits.
+_HOOKS = (Param("pass_delay", "number"), Param("kill_at_step", "integer"))
+
+#: Every kind's parameters.  The CLI's ``--top`` and process flags
+#: (checkpoint directory, resume, retries, supervision) are not
+#: parameters of a run and stay in :mod:`repro.cli`.
+PARAMETERS: Dict[str, Tuple[Param, ...]] = {
+    "mine": (
+        Param("min_support", "number", 0.05, flag="--min-support"),
+        # A job without it gets no rules; the CLI always reports them.
+        Param("min_confidence", "number", flag="--min-confidence",
+              cli_default=0.6),
+        *_BUDGET,
+        Param("on_exhausted", "string", "truncate",
+              gate="degradation_policies"),
+        *_FAST, *_HOOKS,
+    ),
+    "classify": (
+        Param("target", "string", required=True, flag="--target"),
+        Param("test_fraction", "number", 0.3, flag="--test-fraction"),
+        Param("seed", "integer", 0, flag="--seed"),
+        *_BUDGET, *_HOOKS,
+    ),
+    "cluster": (
+        Param("k", "integer", 3, flag="--k"),
+        Param("eps", "number", 0.5, flag="--eps"),
+        Param("min_samples", "integer", 5, flag="--min-samples"),
+        Param("seed", "integer", 0, flag="--seed"),
+        *_BUDGET, *_FAST, *_HOOKS,
+    ),
+}
+
 
 def get(family: str, name: str) -> AlgorithmSpec:
     """Look up one algorithm; raises with the valid choices on a miss."""
@@ -332,8 +425,11 @@ def render_table(rows: Optional[Iterable[AlgorithmSpec]] = None) -> str:
 __all__ = [
     "ALGORITHMS",
     "FAMILIES",
+    "FAMILY_BY_KIND",
+    "PARAMETERS",
     "AlgorithmSpec",
     "Capabilities",
+    "Param",
     "capability_table",
     "get",
     "names",

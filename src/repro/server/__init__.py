@@ -33,9 +33,8 @@ from .api import (
     validate_submission,
 )
 from .cache import ResultCache, content_key
-from .quotas import OverQuota, QuotaPolicy, TenantQuota, job_budget
+from .quotas import OverQuota, QuotaPolicy, TenantQuota
 from .scheduler import (
-    FAMILY_BY_KIND,
     Draining,
     FileCancelToken,
     Scheduler,
@@ -61,7 +60,6 @@ __all__ = [
     "DEFAULT_MAX_FAILURES",
     "Draining",
     "EventAppender",
-    "FAMILY_BY_KIND",
     "FileCancelToken",
     "InvalidTransition",
     "JobRecord",
@@ -80,7 +78,6 @@ __all__ = [
     "canonical_result_bytes",
     "content_key",
     "execute_job",
-    "job_budget",
     "scan_events",
     "serve",
     "validate_submission",

@@ -34,9 +34,10 @@ full mapping):
 * a client that stalls mid-request past the handler timeout gets its
   connection dropped (slow-loris defence) — handler threads are a
   finite resource;
-* a submission the registry cannot honour — unknown kind/algorithm, a
-  flag the algorithm's capabilities reject — is ``400`` and the body
-  includes the relevant capability table so clients can self-correct;
+* a submission :func:`repro.tasks.check` (the CLI's check too)
+  rejects — unknown kind, algorithm or parameter, a mistyped value, a
+  parameter the algorithm's capabilities gate off — is ``400``, with
+  the kind's parameter table and the family's capability table;
 * a tenant over its backlog quota is ``429`` with ``Retry-After``;
 * a submission while the server is draining is ``503`` with
   ``Retry-After`` — nothing is persisted, retry elsewhere/later;
@@ -61,11 +62,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .. import registry
+from .. import registry, tasks
 from ..core.exceptions import ReproError
 from .cache import ResultCache
 from .quotas import OverQuota, QuotaPolicy
-from .scheduler import FAMILY_BY_KIND, Draining, Scheduler
+from .scheduler import Draining, Scheduler
 from .store import InvalidTransition, JobStore, UnknownJob
 
 #: refuse request bodies larger than this (defensive, not a quota).
@@ -79,11 +80,15 @@ _SUBMIT_FIELDS = {"tenant", "kind", "algorithm", "dataset", "params"}
 
 
 class BadSubmission(ReproError, ValueError):
-    """A submission the capability registry (or schema) rejects."""
+    """A submission the schema or the tables reject.
 
-    def __init__(self, message: str, family: Optional[str] = None):
+    ``kind`` (when known) picks the parameter and capability tables the
+    ``400`` body carries.
+    """
+
+    def __init__(self, message: str, kind: Optional[str] = None):
         super().__init__(message)
-        self.family = family
+        self.kind = kind
 
 
 class BadRequest(ReproError, ValueError):
@@ -107,11 +112,11 @@ class PayloadTooLarge(BadRequest):
 
 
 def validate_submission(payload: Any) -> Dict[str, Any]:
-    """Check a POST /jobs body against the schema and the registry.
+    """Check a POST /jobs body against the schema and the tables.
 
     Returns the normalized submission dict.  Raises
-    :class:`BadSubmission` — carrying the relevant registry family so
-    the handler can attach the capability table — on anything the
+    :class:`BadSubmission` — carrying the job kind so the handler can
+    attach the parameter and capability tables — on anything the
     server could never run.
     """
     if not isinstance(payload, dict):
@@ -129,43 +134,11 @@ def validate_submission(payload: Any) -> Dict[str, Any]:
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise BadSubmission("'params' must be an object")
-
     kind = payload["kind"]
-    family = FAMILY_BY_KIND.get(kind)
-    if family is None:
-        raise BadSubmission(
-            f"unknown kind {kind!r}; choices: {sorted(FAMILY_BY_KIND)}"
-        )
     try:
-        spec = registry.get(family, payload["algorithm"])
+        tasks.check(kind, payload["algorithm"], params)
     except ReproError as exc:
-        raise BadSubmission(str(exc), family=family) from exc
-
-    caps = spec.capabilities
-    if params.get("n_jobs") is not None and not caps.parallelizable:
-        raise BadSubmission(
-            f"{spec.name!r} is not parallelizable; drop 'n_jobs'",
-            family=family,
-        )
-    if params.get("checkpoint_every") is not None and not caps.checkpointable:
-        raise BadSubmission(
-            f"{spec.name!r} is not checkpointable; drop 'checkpoint_every'",
-            family=family,
-        )
-    if params.get("max_candidates") is not None and caps.budget_resource is None:
-        raise BadSubmission(
-            f"{spec.name!r} takes no work budget; drop 'max_candidates'",
-            family=family,
-        )
-    on_exhausted = params.get("on_exhausted")
-    if on_exhausted is not None and on_exhausted not in caps.degradation_policies:
-        raise BadSubmission(
-            f"{spec.name!r} does not support on_exhausted={on_exhausted!r}; "
-            f"choices: {list(caps.degradation_policies) or 'none'}",
-            family=family,
-        )
-    if kind == "classify" and "target" not in params:
-        raise BadSubmission("classify jobs require params.target")
+        raise BadSubmission(str(exc), kind=kind) from exc
     return {
         "tenant": tenant, "kind": kind, "algorithm": payload["algorithm"],
         "dataset": payload["dataset"], "params": params,
@@ -311,9 +284,12 @@ class JobRequestHandler(BaseHTTPRequestHandler):
         except BadRequest as exc:
             self._send_json(400, {"error": str(exc), "reason": exc.reason})
         except BadSubmission as exc:
-            body: Dict[str, Any] = {"error": str(exc)}
-            body["capabilities"] = registry.capability_table(exc.family)
-            self._send_json(400, body)
+            self._send_json(400, {
+                "error": str(exc),
+                "parameters": tasks.parameter_table(exc.kind),
+                "capabilities": registry.capability_table(
+                    registry.FAMILY_BY_KIND.get(exc.kind)),
+            })
         except Draining as exc:
             self._send_json(
                 503, {"error": str(exc), "retry_after": exc.retry_after},
@@ -467,14 +443,9 @@ def build_server(
     relocates the cache (default: the store's reserved ``_cache/``
     directory, so cache and results share a filesystem — and a fate).
 
-    Every registry row is resolved here, before the scheduler starts a
-    thread, so a forked job child imports nothing (the scheduler module
-    already imports what the job payloads use): an import in the child
-    would be paid on every job, and one racing a fork can leave a
-    module lock held in the child.
+    :meth:`Scheduler.start` imports everything a job can reach before
+    it starts a thread, so a forked job child imports nothing.
     """
-    for spec in registry.specs():
-        spec.factory, spec.make  # noqa: B018 - resolve and cache
     store = JobStore(store_root)
     cache = None
     if result_cache:

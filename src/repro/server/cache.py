@@ -5,11 +5,11 @@ Identical resubmissions should not re-mine.  Two pieces make that safe:
 * :func:`content_key` derives the cache/idempotency fallback key from
   *what the job would compute*, not how it was phrased:
   ``sha256(dataset bytes) + kind + algorithm + canonical params``
-  (sorted-key, fixed-separator JSON).  Renaming the dataset file does
-  not change the key; editing one transaction does.  A dataset that
-  cannot be read at submission time yields no key — the job still runs
-  (and fails with its ordinary application error), it just cannot be
-  deduplicated or cached.
+  (sorted-key, fixed-separator JSON of the normalised parameters).
+  Renaming the dataset file does not change the key; editing one
+  transaction does.  A dataset that cannot be read at submission time
+  yields no key — the job still runs (and fails with its ordinary
+  application error), it just cannot be deduplicated or cached.
 * :class:`ResultCache` stores one entry per key under the checkpoint
   store's framing discipline: a magic+length+SHA-256 header over the
   canonical result bytes, written through the atomic
@@ -36,7 +36,9 @@ import struct
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
+from ..core.exceptions import ReproError
 from ..runtime.fsio import atomic_write_bytes
+from ..tasks import result_params
 
 #: magic + format version; bumping the version invalidates old entries.
 MAGIC = b"RPRC0001"
@@ -58,19 +60,21 @@ def content_key(
 
     ``sha256`` over the dataset *bytes* (streamed, so large files never
     load whole), combined with the job kind, algorithm name and the
-    canonical JSON of the parameters.  Conservative by construction:
-    any parameter difference — even an operationally-neutral one like
-    ``pass_delay`` — yields a different key, so a false *hit* is
-    impossible and a false miss merely re-mines.
+    canonical JSON of :func:`repro.tasks.result_params`: defaults filled
+    in, proven result-neutral parameters left out.  Every other
+    difference — even an operational hook like ``pass_delay`` — yields
+    a different key, so a false *hit* is impossible and a false miss
+    merely re-mines.  Parameters that do not resolve yield no key.
     """
     digest = hashlib.sha256()
     try:
         with open(dataset, "rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(chunk)
-    except OSError:
+        normalised = result_params(kind, dict(params or {}))
+    except (OSError, ReproError):
         return None
-    canonical = json.dumps(dict(params or {}), sort_keys=True,
+    canonical = json.dumps(normalised, sort_keys=True,
                            separators=(",", ":"), default=repr)
     material = "\x00".join(
         (str(kind), str(algorithm), digest.hexdigest(), canonical)

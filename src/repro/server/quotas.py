@@ -9,11 +9,13 @@ Two quota families keep one tenant from starving the rest:
   ``429 Too Many Requests`` plus a ``Retry-After`` header — graceful
   back-pressure, not a dropped job.
 * **Budget quotas** — ``max_candidates`` and ``time_limit`` cap how
-  much work any single job may burn.  They are applied as an ordinary
-  :class:`~repro.runtime.Budget` with the algorithm's degradation
-  policy forced to ``truncate`` where one exists, so an over-budget job
-  *finishes* with a partial-but-valid result and is marked
-  ``degraded: true`` instead of failing.
+  much work any single job may burn.  :func:`repro.tasks.job_budget`
+  clamps the job's own request by them into an ordinary
+  :class:`~repro.runtime.Budget`, and the run degrades with the
+  algorithm's ``on_exhausted`` policy (``truncate`` unless the job
+  asks otherwise), so an over-budget job *finishes* with a
+  partial-but-valid result and is marked ``degraded: true`` instead of
+  failing.
 
 Quotas resolve per tenant with a default fallback, loadable from a
 JSON file::
@@ -36,8 +38,6 @@ from typing import Any, Dict, Optional, Union
 
 from ..core.base import check_in_range
 from ..core.exceptions import ReproError, ValidationError
-from ..registry import Capabilities
-from ..runtime.budget import Budget
 
 
 class OverQuota(ReproError, RuntimeError):
@@ -136,45 +136,8 @@ class QuotaPolicy:
         return counts.get("running", 0) >= quota.max_running
 
 
-def _min_capped(requested: Optional[float], cap: Optional[float]):
-    """The tighter of a job's own request and the tenant cap."""
-    if requested is None:
-        return cap
-    if cap is None:
-        return requested
-    return min(requested, cap)
-
-
-def job_budget(
-    capabilities: Capabilities,
-    quota: TenantQuota,
-    params: Dict[str, Any],
-) -> Optional[Budget]:
-    """Build the job's budget from its own request clamped by the quota.
-
-    The resource cap lands on the axis the algorithm declares as its
-    ``budget_resource``; algorithms without one get at most a
-    wall-clock deadline.  Returns ``None`` when nothing is capped, so
-    unquota'd jobs keep the exact bare call path.
-    """
-    time_limit = _min_capped(params.get("time_limit"), quota.time_limit)
-    max_units = _min_capped(params.get("max_candidates"), quota.max_candidates)
-    resource = capabilities.budget_resource
-    if resource is None:
-        max_units = None
-    if time_limit is None and max_units is None:
-        return None
-    kwargs: Dict[str, Any] = {}
-    if time_limit is not None:
-        kwargs["time_limit"] = float(time_limit)
-    if max_units is not None:
-        kwargs[f"max_{resource}"] = int(max_units)
-    return Budget(**kwargs)
-
-
 __all__ = [
     "OverQuota",
     "QuotaPolicy",
     "TenantQuota",
-    "job_budget",
 ]

@@ -1,80 +1,55 @@
 """Job scheduler: durable queue → supervised execution → stored result.
 
-The scheduler is the composition layer the ROADMAP promised: every hard
-primitive already exists, this module only wires them around the
-:class:`~repro.server.store.JobStore`:
+A composition layer: every hard primitive already exists, and this
+module wires them around the :class:`~repro.server.store.JobStore`.
 
-* each dispatched job runs under a
-  :class:`~repro.runtime.Supervisor` (when its registry capabilities
-  allow) with the job's own checkpoint directory, ``resume=True`` and a
-  persistent scratch dir inside the job's store directory — a child
-  crash is a :class:`~repro.runtime.SupervisedCrash`
-  (:class:`~repro.runtime.faults.TransientFault`), retried with backoff
-  and resumed from the newest valid snapshot;
-* children bind to the scheduler's life (``kill_on_parent_death``), so
-  ``kill -9`` of the server leaves no orphan miner racing the restarted
-  service over the same checkpoints;
-* on boot :meth:`Scheduler.start` runs the store's recovery scan and
-  re-enqueues every job the dead server left ``running`` — combined
-  with checkpoint resume this is the "never loses a job" property, and
-  results are byte-identical to an uninterrupted run (the resume
-  contract the kill-storm tests pin);
-* cancellation is durable: the store's marker file is polled by a
-  :class:`FileCancelToken` from inside the forked child, so a running
-  job aborts at its next pass boundary even though tokens cannot cross
-  the fork;
-* quotas degrade instead of failing: budget caps from the tenant's
-  :class:`~repro.server.quotas.TenantQuota` run the job with
-  ``on_exhausted="truncate"`` where the algorithm supports it, and a
-  truncated result marks the job ``degraded`` — still ``done``, still
-  a valid (partial) answer.
+* The job itself is :func:`execute_job`: the CLI's run path
+  (:func:`repro.tasks.run` and the result's ``payload`` view) behind two
+  test hooks, ``pass_delay`` and ``kill_at_step``.  The two edges share
+  one parameter table and one fit, so they cannot drift.
+* Each dispatched job runs under a :class:`~repro.runtime.Supervisor`
+  (when its capabilities allow) with its own checkpoint directory,
+  ``resume=True`` and a persistent scratch dir in its store directory:
+  a child crash (:class:`~repro.runtime.SupervisedCrash`, a transient
+  fault) is retried with backoff and resumed from the newest snapshot.
+  Children die with the scheduler (``kill_on_parent_death``), so no
+  orphan races a restarted server over the same checkpoints.
+* :meth:`Scheduler.start` re-enqueues every job a dead server left
+  ``running``; with checkpoint resume, a job is never lost and its
+  result is byte-identical to an uninterrupted run.
+* Cancellation is durable: a :class:`FileCancelToken` in the forked
+  child polls the store's marker at every ``ctx.step``.
+* Quotas degrade instead of failing: the tenant's caps clamp the job's
+  own budget (:func:`repro.tasks.job_budget`), the run degrades with its
+  ``on_exhausted`` policy (``truncate`` by default), and a truncated
+  result is still ``done``, marked ``degraded``.
+* Results are stored as *canonical bytes* (sorted-key JSON, fixed
+  separators), so byte-identity is an equality on the stored file.
 
-Results are serialized to *canonical bytes* (sorted-key JSON, fixed
-separators) before the atomic write, so "byte-identical to a serial
-in-process run" is a testable equality on the stored file.
+Robustness on top of dispatch (DESIGN.md has the full account):
 
-The robustness layer on top of plain dispatch:
-
-* **Leases** — every dispatched job heartbeats through the store's
-  lease file (touched at ``running`` entry, refreshed by the forked
-  child at every ``ctx.step``); a reaper thread reclaims running jobs
-  whose lease went stale — a wedged child is SIGTERMed through the
-  supervisor's ``stop_event`` and the job re-enqueued, an orphan record
-  (no live worker at all) is re-enqueued directly.
-* **Poison quarantine** — every failed attempt appends a dead-letter
-  entry to the job's ``failures.json``; past ``max_failures`` the job
-  is moved to the terminal ``poisoned`` state instead of being retried
-  forever.
+* **Leases** — the child refreshes the job's lease at every
+  ``ctx.step``; a reaper SIGTERMs a wedged child through the
+  supervisor's ``stop_event`` and re-enqueues its job, or re-enqueues an
+  orphan record directly.
+* **Poison quarantine** — each failed attempt appends to the job's
+  ``failures.json``; past ``max_failures`` the job is ``poisoned``.
 * **Graceful drain** — :meth:`Scheduler.drain` stops admission
-  (:class:`Draining`), signals every running supervisor to
-  checkpoint-and-exit, and re-queues the interrupted jobs so a
-  restarted server resumes them byte-identically.
-* **Disk faults** — an ``OSError`` escaping a job (ENOSPC from the
-  result write, an injected :class:`~repro.runtime.faults.DiskGremlin`
-  burst) is classified as a structured ``store-full`` / ``disk-error``
-  failure instead of an anonymous crash.
-
-The client-edge robustness layer (this PR's tentpole):
-
-* **Idempotent submission** — :meth:`Scheduler.submit` accepts an
-  optional client ``idempotency_key`` and always derives the
-  content key (``sha256(dataset bytes) + kind + algorithm + canonical
-  params``); both are bound to the job id in the store's durable
-  submission index under the admission lock, so N concurrent retries
-  of the same POST collapse onto one job directory and get the same id
-  back.
-* **Progress events** — the forked child's ``ctx.step`` callback
-  appends one line per boundary to the job's ``events.jsonl``
-  (composed with the lease heartbeat through :func:`_chain_progress`);
-  lifecycle transitions append their own markers, so
-  ``GET /jobs/{id}/events`` can resume a poll across a server crash
-  with no gap and no torn line.
-* **Result cache** — a completed, non-degraded job's canonical result
-  bytes are stored in the :class:`~repro.server.cache.ResultCache`
-  under the content key; an identical later submission is admitted
-  straight to ``done`` (``cache_hit``) with byte-identical bytes,
-  quota-free.  Corrupt entries are quarantined and recomputed, never
-  served.
+  (:class:`Draining`), asks running supervisors to checkpoint and exit,
+  and re-queues their jobs.
+* **Disk faults** — an ``OSError`` escaping a job becomes a structured
+  ``store-full`` / ``disk-error`` failure.
+* **Idempotent submission** — :meth:`Scheduler.submit` binds the
+  client's ``idempotency_key`` and the content key
+  (:func:`~repro.server.cache.content_key`) to the job id under the
+  admission lock, so concurrent retries of one POST share one job.
+* **Progress events** — the child's ``ctx.step`` callback appends to the
+  job's ``events.jsonl`` (chained with the lease beat by
+  :func:`_chain_progress`), resumable across a server crash.
+* **Result cache** — a non-degraded result is cached under its content
+  key; an identical submission is admitted straight to ``done``
+  (``cache_hit``) with the same bytes, and a corrupt entry is
+  recomputed, never served.
 """
 
 from __future__ import annotations
@@ -88,14 +63,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from .. import registry
-from ..associations.rules import generate_rules
+from .. import tasks
 from ..core.exceptions import ReproError
-from ..core.itemsets import FrequentItemsets
-from ..datasets.io import load_table, load_transactions
-from ..evaluation.cluster_metrics import sse
-from ..evaluation.metrics import classification_report
-from ..preprocessing.split import train_test_split
 from ..runtime.budget import (
     BudgetExceeded,
     CancellationToken,
@@ -111,7 +80,7 @@ from ..runtime.supervisor import (
     SupervisorStopped,
 )
 from .cache import ResultCache, content_key
-from .quotas import QuotaPolicy, job_budget
+from .quotas import QuotaPolicy
 from .store import (
     DEFAULT_MAX_FAILURES,
     TERMINAL_STATES,
@@ -120,14 +89,6 @@ from .store import (
     JobStore,
     JobStoreError,
 )
-
-#: job ``kind`` → registry family.
-FAMILY_BY_KIND = {
-    "mine": "associations",
-    "classify": "classification",
-    "cluster": "clustering",
-}
-
 
 class FileCancelToken(CancellationToken):
     """A cancellation token backed by a marker file.
@@ -191,48 +152,36 @@ def _chain_progress(ctx: ExecutionContext, hook) -> ExecutionContext:
     return ctx.replace(on_progress=chained)
 
 
-def _apply_pass_delay(ctx: Optional[ExecutionContext],
-                      params: Dict[str, Any]) -> Optional[ExecutionContext]:
-    """Optional per-boundary throttle (``params["pass_delay"]`` seconds).
+def _apply_test_hooks(ctx: Optional[ExecutionContext],
+                      values: Dict[str, Any]) -> Optional[ExecutionContext]:
+    """The job-only test hooks, chained after the context's progress hook.
 
-    An operations/testing hook: it stretches a job's wall-clock without
-    touching its output, which is how the chaos harness guarantees the
-    server dies *mid-job*.  No delay, or no context, leaves the context
-    untouched.
+    ``pass_delay`` sleeps that many seconds at every ``ctx.step``: it
+    stretches a job's wall-clock without touching its output, which is
+    how the chaos harness guarantees the server dies *mid-job*.
+    ``kill_at_step`` SIGKILLs the worker child at its N-th ``ctx.step``,
+    so every supervised attempt dies at the same point (the poison
+    quarantine proof needs a job that *always* crashes); it is ignored
+    outside a forked worker child, so it can never kill the server.
     """
-    delay = params.get("pass_delay")
-    if not delay or ctx is None:
+    delay, step = values["pass_delay"], values["kill_at_step"]
+    if ctx is None:
         return ctx
-    pause = float(delay)
-    return _chain_progress(ctx, lambda phase, info: time.sleep(pause))
+    if delay:
+        ctx = _chain_progress(ctx, lambda phase, info: time.sleep(delay))
+    if step:
+        import multiprocessing
 
+        if multiprocessing.parent_process() is not None:
+            counter = {"steps": 0}
 
-def _apply_kill_at_step(ctx: Optional[ExecutionContext],
-                        params: Dict[str, Any]) -> Optional[ExecutionContext]:
-    """Chaos hook: SIGKILL the worker child at its N-th ``ctx.step``.
+            def hook(phase, info):
+                counter["steps"] += 1
+                if counter["steps"] >= step:
+                    os.kill(os.getpid(), signal.SIGKILL)
 
-    ``params["kill_at_step"] = N`` makes every supervised attempt die
-    at exactly the same deterministic point — the poison-quarantine
-    proof needs a job that *always* crashes, not one that happens to.
-    Ignored outside a forked worker child so a mis-targeted parameter
-    can never SIGKILL the server process itself.
-    """
-    step = params.get("kill_at_step")
-    if not step or ctx is None:
-        return ctx
-    import multiprocessing
-
-    if multiprocessing.parent_process() is None:
-        return ctx
-    threshold = int(step)
-    counter = {"steps": 0}
-
-    def hook(phase, info):
-        counter["steps"] += 1
-        if counter["steps"] >= threshold:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    return _chain_progress(ctx, hook)
+            ctx = _chain_progress(ctx, hook)
+    return ctx
 
 
 def execute_job(kind: str, dataset: str, algorithm: str,
@@ -243,185 +192,12 @@ def execute_job(kind: str, dataset: str, algorithm: str,
     injected per-attempt context (budget + file cancel token +
     resuming checkpointer) and must be deterministic in its inputs —
     the recovery proof compares its serialized output across crashed
-    and uninterrupted runs.
+    and uninterrupted runs.  The job is :func:`repro.tasks.run`, the
+    CLI's run path, behind the two test hooks.
     """
-    ctx = _apply_pass_delay(ctx, params)
-    ctx = _apply_kill_at_step(ctx, params)
-    if kind == "mine":
-        return _mine_payload(dataset, algorithm, params, ctx)
-    if kind == "classify":
-        return _classify_payload(dataset, algorithm, params, ctx)
-    if kind == "cluster":
-        return _cluster_payload(dataset, algorithm, params, ctx)
-    raise ReproError(f"unknown job kind {kind!r}")
-
-
-def _pulse(ctx, phase: str, **info: Any) -> None:
-    """A liveness beat between ``ctx.step`` boundaries.
-
-    Result serialization and rule generation can dwarf a mining pass on
-    dense outputs, and they sit *after* the last ``ctx.step`` — without
-    a beat there the lease goes stale mid-finalize and the reaper
-    reclaims a perfectly healthy job.  Deliberately NOT ``ctx.step``:
-    the budget is not consulted, so a job that finished its mine under
-    ``on_exhausted="truncate"`` still gets to serialize the truncated
-    result instead of tripping ``BudgetExceeded`` at the finish line.
-    Cancellation, by contrast, still applies.
-    """
-    if ctx is None:
-        return
-    ctx.raise_if_cancelled()
-    if ctx.on_progress is not None:
-        ctx.on_progress(phase, dict(info))
-
-
-#: longest stretch of finalize work between two liveness beats
-_BEAT_SECONDS = 0.5
-
-
-def _beating(items, ctx, phase: str):
-    """Yield ``items``, with a :func:`_pulse` after every ``_BEAT_SECONDS``
-    of work.
-
-    Rule generation and building the result dicts each run for seconds
-    on a dense mine (2.2 s and 0.85 s for 108,512 rules, one core of an
-    idle 2-CPU x86-64 host), so a beat only at their edges lets a short
-    lease expire.
-    Beating by time, not by count, keeps the event log short.  The
-    clock restarts after the beat: a progress hook that sleeps (the
-    ``pass_delay`` throttle) must not make every later item beat.
-    """
-    last = time.monotonic()
-    for done, item in enumerate(items):
-        if time.monotonic() - last >= _BEAT_SECONDS:
-            _pulse(ctx, phase, done=done)
-            last = time.monotonic()
-        yield item
-
-
-class _BeatingItemsets(FrequentItemsets):
-    """A mine result whose walk by :func:`generate_rules` beats the lease."""
-
-    def __init__(self, itemsets: FrequentItemsets, ctx):
-        super().__init__(itemsets.supports, itemsets.n_transactions,
-                         itemsets.min_support)
-        self.ctx = ctx
-
-    def __iter__(self):
-        return _beating(self.supports, self.ctx, "rules")
-
-
-def _mine_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
-    spec = registry.get("associations", algorithm)
-    db = load_transactions(dataset)
-    min_support = float(params.get("min_support", 0.05))
-    kwargs: Dict[str, Any] = {}
-    if (spec.capabilities.degradation_policies
-            and ctx is not None and ctx.budget is not None):
-        kwargs["on_exhausted"] = str(params.get("on_exhausted", "truncate"))
-    if params.get("n_jobs") is not None:
-        kwargs["n_jobs"] = int(params["n_jobs"])
-    itemsets = spec.factory(db, min_support, ctx=ctx, **kwargs)
-    _pulse(ctx, "finalize", n_itemsets=len(itemsets))
-    payload: Dict[str, Any] = {
-        "kind": "mine",
-        "algorithm": algorithm,
-        "n_transactions": len(db),
-        "min_support": min_support,
-        "n_itemsets": len(itemsets),
-        "itemsets": [
-            {"items": [int(item) for item in itemset], "count": int(count)}
-            for itemset, count in _beating(
-                itemsets.sorted_by_support(), ctx, "finalize"
-            )
-        ],
-        "degraded": bool(itemsets.truncated),
-        "degraded_reason": itemsets.truncation_reason,
-    }
-    min_confidence = params.get("min_confidence")
-    if min_confidence is not None:
-        _pulse(ctx, "rules")
-        rules = generate_rules(_BeatingItemsets(itemsets, ctx),
-                               float(min_confidence))
-        _pulse(ctx, "finalize", n_rules=len(rules))
-        payload["min_confidence"] = float(min_confidence)
-        payload["rules"] = [
-            {
-                "antecedent": [int(i) for i in rule.antecedent],
-                "consequent": [int(i) for i in rule.consequent],
-                "support": rule.support,
-                "confidence": rule.confidence,
-                "lift": rule.lift,
-            }
-            for rule in _beating(rules, ctx, "finalize")
-        ]
-    return payload
-
-
-def _classify_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
-    spec = registry.get("classification", algorithm)
-    table = load_table(dataset)
-    target = str(params["target"])
-    test_fraction = float(params.get("test_fraction", 0.3))
-    seed = int(params.get("seed", 0))
-    train, test = train_test_split(
-        table, test_fraction, stratify=target, random_state=seed,
-    )
-    model = spec.factory(ctx=ctx)
-    model.fit(train, target)
-    y_true = [test.value(i, target) for i in range(test.n_rows)]
-    y_pred = model.predict(test)
-    report = {
-        str(label): {
-            "precision": entry.precision,
-            "recall": entry.recall,
-            "f1": entry.f1,
-            "support": int(entry.support),
-        }
-        for label, entry in classification_report(y_true, y_pred).items()
-    }
-    return {
-        "kind": "classify",
-        "algorithm": algorithm,
-        "target": target,
-        "n_train": int(train.n_rows),
-        "n_test": int(test.n_rows),
-        "accuracy": float(model.score(test)),
-        "report": report,
-        "degraded": bool(getattr(model, "truncated_", False)),
-        "degraded_reason": getattr(model, "truncation_reason_", None),
-    }
-
-
-def _cluster_payload(dataset, algorithm, params, ctx) -> Dict[str, Any]:
-    spec = registry.get("clustering", algorithm)
-    table = load_table(dataset)
-    X = table.to_matrix()
-    if X.shape[1] == 0:
-        raise ReproError("dataset has no numeric columns to cluster")
-    model = spec.make(
-        ctx,
-        k=int(params.get("k", 3)),
-        eps=float(params.get("eps", 0.5)),
-        min_samples=int(params.get("min_samples", 5)),
-        seed=int(params.get("seed", 0)),
-        n_jobs=params.get("n_jobs"),
-    )
-    labels = model.fit_predict(X)
-    label_list = [int(label) for label in labels]
-    clusters = sorted(set(label_list) - {-1})
-    return {
-        "kind": "cluster",
-        "algorithm": algorithm,
-        "n_points": int(len(X)),
-        "n_features": int(X.shape[1]),
-        "n_clusters": len(clusters),
-        "n_noise": sum(1 for label in label_list if label == -1),
-        "labels": label_list,
-        "sse": float(sse(X, labels)),
-        "degraded": bool(getattr(model, "truncated_", False)),
-        "degraded_reason": getattr(model, "truncation_reason_", None),
-    }
+    values = tasks.resolve(kind, params)
+    ctx = _apply_test_hooks(ctx, values)
+    return tasks.run(kind, algorithm, dataset, values, ctx).payload(ctx)
 
 
 # ----------------------------------------------------------------------
@@ -480,9 +256,6 @@ class Scheduler:
         Crash-retry allowance per dispatch, fed to the
         :class:`~repro.runtime.RetryPolicy` that relaunches supervised
         children with exponential backoff.
-    checkpoint_every:
-        Default pass-boundary checkpoint cadence for checkpointable
-        algorithms (jobs may override via ``params["checkpoint_every"]``).
     lease_timeout:
         Seconds a running job's lease may go unrefreshed before the
         reaper reclaims it.  Heartbeats land at every ``ctx.step``, so
@@ -509,7 +282,6 @@ class Scheduler:
         quotas: Optional[QuotaPolicy] = None,
         workers: int = 2,
         max_retries: int = 2,
-        checkpoint_every: int = 1,
         poll_interval: float = 0.05,
         lease_timeout: float = 30.0,
         max_failures: int = DEFAULT_MAX_FAILURES,
@@ -521,7 +293,6 @@ class Scheduler:
         self.quotas = quotas or QuotaPolicy()
         self.workers = max(1, int(workers))
         self.max_retries = max(0, int(max_retries))
-        self.checkpoint_every = max(1, int(checkpoint_every))
         self.poll_interval = float(poll_interval)
         self.lease_timeout = float(lease_timeout)
         self.max_failures = max(1, int(max_failures))
@@ -543,11 +314,15 @@ class Scheduler:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> List[JobRecord]:
-        """Recover the store, enqueue the backlog, start the workers.
+        """Preload, recover the store, enqueue the backlog, start the
+        workers.
 
-        Returns the records that were mid-run when the previous server
+        Everything a job can reach is imported first
+        (:func:`repro.tasks.preload`), before any thread starts, so a
+        forked job child imports nothing.  Returns the records that were mid-run when the previous server
         process died and are now re-enqueued.
         """
+        tasks.preload()
         recovered = self.store.recover(max_failures=self.max_failures)
         for record in reversed(self.store.list(states=("queued",))):
             self._queue.put(record.job_id)
@@ -818,6 +593,10 @@ class Scheduler:
         with self._active_lock:
             self._active[job_id] = active
         try:
+            if self._draining.is_set():
+                # A drain that began before this job was registered did
+                # not see it: park it as the drain would have.
+                return self._handle_stopped(record, "drain")
             payload = self._execute(record, active)
             # The child is gone; from here the *worker thread* is the
             # one making progress, so it owns the heartbeat while it
@@ -1023,9 +802,10 @@ class Scheduler:
 
     def _execute(self, record: JobRecord,
                  active: Optional[_ActiveJob] = None) -> Dict[str, Any]:
-        spec = registry.get(FAMILY_BY_KIND[record.kind], record.algorithm)
+        spec = tasks.spec(record.kind, record.algorithm)
+        values = tasks.resolve(record.kind, record.params)
         quota = self.quotas.quota_for(record.tenant)
-        budget = job_budget(spec.capabilities, quota, record.params)
+        budget = tasks.job_budget(spec.capabilities, quota, values)
         job_id = record.job_id
         store = self.store
 
@@ -1049,15 +829,15 @@ class Scheduler:
         )
         args = (record.kind, record.dataset, record.algorithm, record.params)
         if spec.capabilities.supervisable:
-            checkpoint_dir = None
+            checkpoint: Dict[str, Any] = {}
             if spec.capabilities.checkpointable:
-                checkpoint_dir = str(store.checkpoint_dir(job_id))
+                checkpoint = {
+                    "checkpoint_dir": str(store.checkpoint_dir(job_id)),
+                    "checkpoint_every": values["checkpoint_every"],
+                }
             supervisor = Supervisor(
                 retry=self._retry_policy(),
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every=int(record.params.get(
-                    "checkpoint_every", self.checkpoint_every
-                )),
+                **checkpoint,
                 resume=True,
                 scratch_dir=str(store.scratch_dir(job_id)),
                 kill_on_parent_death=True,
@@ -1076,7 +856,6 @@ class Scheduler:
 
 __all__ = [
     "Draining",
-    "FAMILY_BY_KIND",
     "FileCancelToken",
     "Scheduler",
     "canonical_result_bytes",

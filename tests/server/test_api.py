@@ -196,7 +196,7 @@ class TestRejections:
                    for entry in payload["capabilities"])
 
     def test_capability_gated_flags_400(self, server, basket_path):
-        httpd, _scheduler = server
+        httpd, scheduler = server
         cases = [
             {"kind": "classify", "algorithm": "knn",
              "params": {"target": "y", "checkpoint_every": 2}},
@@ -204,11 +204,36 @@ class TestRejections:
              "params": {"target": "y", "n_jobs": 2}},
             {"kind": "mine", "algorithm": "apriori",
              "params": {"on_exhausted": "explode"}},
+            # A misspelled name, mistyped values, and parameters the
+            # algorithm's capabilities gate off.
+            {"kind": "mine", "algorithm": "apriori",
+             "params": {"min_suport": 0.5}},
+            {"kind": "mine", "algorithm": "apriori",
+             "params": {"min_support": "0.5"}},
+            {"kind": "mine", "algorithm": "apriori",
+             "params": {"min_support": True}},
+            {"kind": "cluster", "algorithm": "kmeans",
+             "params": {"k": "nine"}},
+            {"kind": "cluster", "algorithm": "kmeans",
+             "params": {"k": 3.5}},
+            {"kind": "classify", "algorithm": "nb",
+             "params": {"target": "y", "time_limit": 5}},
+            {"kind": "mine", "algorithm": "fp_growth",
+             "params": {"backend": "bitmap"}},
+            {"kind": "cluster", "algorithm": "dbscan",
+             "params": {"checkpoint_every": 2}},
         ]
+        families = {"mine": "associations", "classify": "classification",
+                    "cluster": "clustering"}
         for case in cases:
             status, _headers, payload = _submit(httpd, basket_path, **case)
             assert status == 400, case
-            assert "capabilities" in payload
+            assert {e["family"] for e in payload["capabilities"]} \
+                == {families[case["kind"]]}, case
+            assert list(payload["parameters"]) == [case["kind"]], case
+            names = {row["name"] for row in payload["parameters"][case["kind"]]}
+            assert "seed" in names or "min_support" in names
+        assert scheduler.store.list() == []
 
     def test_malformed_bodies_400(self, server, basket_path):
         httpd, _scheduler = server
@@ -224,7 +249,7 @@ class TestRejections:
         for n in range(4):
             # Distinct params per request: identical submissions would
             # now deduplicate onto one job and never fill the backlog.
-            slow = {"min_support": 0.02, "pass_delay": 0.5, "nonce": n}
+            slow = {"min_support": 0.02, "pass_delay": 0.5 + 0.01 * n}
             status, headers, payload = _submit(
                 httpd, basket_path, tenant="burst", params=slow,
             )
@@ -404,7 +429,7 @@ class TestClientEdge:
 
     def test_cached_resubmission_via_http(self, server, basket_path):
         httpd, scheduler = server
-        params = {"min_support": 0.05, "nonce": "cache-http"}
+        params = {"min_support": 0.05}
         _s, _h, first = _submit(httpd, basket_path, params=params)
         _wait_state(httpd, first["job_id"], ("done",))
         status, _h, second = _submit(httpd, basket_path, params=params)
@@ -418,7 +443,7 @@ class TestClientEdge:
 
     def test_events_route_resumable(self, server, basket_path):
         httpd, _scheduler = server
-        params = {"min_support": 0.05, "nonce": "events-http"}
+        params = {"min_support": 0.05}
         _s, _h, record = _submit(httpd, basket_path, params=params)
         job_id = record["job_id"]
         _wait_state(httpd, job_id, ("done",))
@@ -441,7 +466,7 @@ class TestClientEdge:
         assert _call(httpd, "GET", "/jobs/missing/events")[0] == 404
         _s, _h, record = _submit(
             httpd, basket_path,
-            params={"min_support": 0.05, "nonce": "events-err"},
+            params={"min_support": 0.05},
         )
         status, _h, payload = _call(
             httpd, "GET", f"/jobs/{record['job_id']}/events?offset=bogus"

@@ -119,6 +119,36 @@ class TestSchedulerDrain:
         assert store.read_result_bytes(record.job_id) == \
             _reference_bytes(basket_path)
 
+    def test_drain_landing_before_the_job_registers_still_parks_it(
+        self, tmp_path, basket_path, monkeypatch
+    ):
+        # A worker records ``running`` before it registers the job as
+        # active; a drain that lands in between must still park the job
+        # instead of letting it run on through the shutdown.
+        store = JobStore(tmp_path / "store")
+        scheduler = Scheduler(store, workers=1)
+        transition = store.transition
+
+        def drain_after_running(job_id, state, **changes):
+            record = transition(job_id, state, **changes)
+            if state == "running":
+                assert scheduler.drain(grace=0.0) is True
+            return record
+
+        monkeypatch.setattr(store, "transition", drain_after_running)
+        scheduler.start()
+        try:
+            record = scheduler.submit("t", "mine", "apriori", basket_path,
+                                      {"min_support": 0.05})
+            _wait(lambda: (store.get(record.job_id).attempts == 1
+                           and store.get(record.job_id).state != "running"),
+                  DEADLINE, "job never left running")
+        finally:
+            scheduler.stop()
+        parked = store.get(record.job_id)
+        assert parked.state == "queued"
+        assert store.read_failures(record.job_id) == []
+
     def test_drain_is_idempotent(self, tmp_path):
         store = JobStore(tmp_path / "store")
         scheduler = Scheduler(store, workers=1)

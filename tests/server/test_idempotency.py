@@ -77,6 +77,63 @@ class TestContentKey:
     def test_unreadable_dataset_yields_no_key(self):
         assert content_key("mine", "apriori", "/no/such/file", {}) is None
 
+    def test_defaults_are_filled_in(self, basket_path):
+        base = content_key("mine", "apriori", basket_path, {})
+        for same in ({"min_support": 0.05}, {"on_exhausted": "truncate"},
+                     {"min_support": 0.05, "min_confidence": None}):
+            assert content_key("mine", "apriori", basket_path, same) == base
+
+    def test_result_neutral_params_are_left_out(self, basket_path):
+        # Each proven result-neutral by its identity suite: backend
+        # (test_columnar_properties), n_jobs (test_parallel_equivalence),
+        # checkpoint_every (the resume suites).
+        base = content_key("mine", "apriori", basket_path, {})
+        for neutral in ({"n_jobs": 1}, {"n_jobs": 2}, {"backend": "bitmap"},
+                        {"checkpoint_every": 3}):
+            assert content_key("mine", "apriori", basket_path,
+                               neutral) == base
+
+    @pytest.mark.parametrize("kind, params", [
+        ("mine", {"min_support": 0.1}),
+        ("mine", {"min_confidence": 0.6}),
+        ("mine", {"min_confidence": 0.7}),
+        ("mine", {"time_limit": 5.0}),
+        ("mine", {"max_candidates": 100}),
+        ("mine", {"on_exhausted": "raise"}),
+        ("mine", {"pass_delay": 0.1}),
+        ("mine", {"kill_at_step": 3}),
+        ("classify", {"target": "other"}),
+        ("classify", {"test_fraction": 0.5}),
+        ("classify", {"seed": 1}),
+        ("cluster", {"k": 4}),
+        ("cluster", {"eps": 0.7}),
+        ("cluster", {"min_samples": 3}),
+        ("cluster", {"seed": 1}),
+    ])
+    def test_every_result_changing_param_changes_the_key(
+            self, basket_path, kind, params):
+        base = {"target": "group"} if kind == "classify" else {}
+        assert (content_key(kind, "any", basket_path, {**base, **params})
+                != content_key(kind, "any", basket_path, base))
+
+    def test_unresolvable_params_yield_no_key(self, basket_path):
+        assert content_key("bogus", "apriori", basket_path, {}) is None
+        assert content_key("classify", "c45", basket_path, {}) is None
+
+    def test_old_entries_miss_once(self, basket_path):
+        # Keys used to hash the raw params; none of them is a key now,
+        # so an old cache entry is never served, only recomputed.
+        import hashlib
+        import json
+
+        params = {"min_support": 0.05}
+        raw = hashlib.sha256(open(basket_path, "rb").read()).hexdigest()
+        old = hashlib.sha256("\x00".join((
+            "mine", "apriori", raw,
+            json.dumps(params, sort_keys=True, separators=(",", ":")),
+        )).encode()).hexdigest()
+        assert content_key("mine", "apriori", basket_path, params) != old
+
 
 class TestDedupe:
     def test_inflight_duplicate_returns_same_job(self, store, basket_path):

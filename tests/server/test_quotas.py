@@ -6,12 +6,8 @@ import pytest
 
 from repro.core.exceptions import ValidationError
 from repro.registry import Capabilities
-from repro.server.quotas import (
-    OverQuota,
-    QuotaPolicy,
-    TenantQuota,
-    job_budget,
-)
+from repro.server.quotas import OverQuota, QuotaPolicy, TenantQuota
+from repro.tasks import job_budget
 
 
 class TestTenantQuota:

@@ -191,7 +191,7 @@ class TestAlgorithms:
         args = parser.parse_args(
             ["mine", "x.dat", "--miner", registry.names("associations")[0]]
         )
-        assert args.miner == "apriori"
+        assert args.algorithm == "apriori"
         for family, flag, command in (
             ("associations", "--miner", "mine"),
             ("clustering", "--algorithm", "cluster"),
