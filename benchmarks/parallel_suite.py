@@ -1,15 +1,20 @@
-"""Benchmark harness: a fixed synthetic suite behind ``repro bench``.
+"""Parallel benchmark suite: writes ``BENCH_parallel.json``.
+
+Run from the repository root::
+
+    PYTHONPATH=src python benchmarks/parallel_suite.py            # full
+    PYTHONPATH=src python benchmarks/parallel_suite.py --scale smoke --jobs 2
 
 Five workloads exercise the parallel execution layer end to end —
 apriori support counting (serial backends vs. the map-reduce path and
 the bitmap kernel), partition shard mining, k-means restart trials,
 cross-validation folds, and a dispatch microbenchmark that isolates
-per-task transport cost (fork-per-task vs. the persistent
+per-task transport cost (a fork per task vs. the persistent
 WorkerPool).  Each benchmark times the serial run against
 the same call with ``n_jobs`` workers, checks the two results are
 byte-identical (the WorkerPool determinism contract), and the suite is
-written as machine-readable JSON (``BENCH_parallel.json``) so later PRs
-have a perf trajectory to beat.
+written as machine-readable JSON (``BENCH_parallel.json``) so later
+changes have a trajectory to beat.
 
 The payload records ``n_cpus`` alongside the timings: fork-parallel
 speedup is bounded by the cores actually available, so a single-core
@@ -20,17 +25,20 @@ the CI smoke job asserts only the schema and the identity bits.
 
 Two scales: ``full`` for the committed trajectory, ``smoke`` for CI
 (seconds, not minutes).  Timings take the best of ``repeat`` runs to
-damp scheduler noise; identity is checked on every run.
+damp scheduler noise; identity is checked on every run.  The script
+exits 2 when any entry's ``identical`` bit is false.  It is not named
+``bench_*.py``, so ``pytest benchmarks/`` does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pickle
 import platform
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 SCHEMA_VERSION = 3
 
@@ -108,8 +116,8 @@ def bench_apriori(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
     vectorized bitmap backend against the serial hash tree (a kernel
     speedup that does not depend on core count).
     """
-    from .associations import apriori
-    from .datasets import quest_basket
+    from repro.associations import apriori
+    from repro.datasets import quest_basket
 
     db = quest_basket(rows, random_state=1994)
     min_support = 0.01
@@ -131,8 +139,8 @@ def bench_apriori(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
 
 def bench_partition(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
     """Partition shards mined in parallel, then the sharded global count."""
-    from .associations import partition_miner
-    from .datasets import quest_basket
+    from repro.associations import partition_miner
+    from repro.datasets import quest_basket
 
     db = quest_basket(rows, random_state=1995)
     min_support = 0.01
@@ -148,8 +156,8 @@ def bench_partition(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
 
 def bench_kmeans(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
     """k-means++ restarts as parallel trials."""
-    from .clustering import KMeans
-    from .datasets import gaussian_blobs
+    from repro.clustering import KMeans
+    from repro.datasets import gaussian_blobs
 
     X, _ = gaussian_blobs(rows, centers=6, random_state=1996)
     n_init = 8
@@ -170,9 +178,9 @@ def bench_kmeans(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
 
 def bench_crossval(rows: int, n_jobs: int, repeat: int) -> List[Dict]:
     """Cross-validation folds fit and scored in parallel workers."""
-    from .classification import NaiveBayes
-    from .datasets import agrawal
-    from .evaluation import cross_val_score
+    from repro.classification import NaiveBayes
+    from repro.datasets import agrawal
+    from repro.evaluation import cross_val_score
 
     table = agrawal(rows, function=2, noise=0.05, random_state=1997)
     n_folds = 5
@@ -193,16 +201,49 @@ def _dispatch_noop(task, _shard_ctx):
     return task
 
 
+def fork_per_task(fn, tasks: Sequence, n_jobs: int) -> List:
+    """Baseline dispatcher: fork one child per task, read its pickle back.
+
+    At most ``n_jobs`` children run at once; each writes
+    ``pickle.dumps(fn(task, None))`` to its own pipe and exits.  Results
+    come back in task order.  This is what the warm pool replaces, and
+    it exists only to price it.
+    """
+    results: List = [None] * len(tasks)
+    pending = list(enumerate(tasks))
+    running: List[Tuple[int, int, int]] = []
+    while pending or running:
+        while pending and len(running) < n_jobs:
+            index, task = pending.pop(0)
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(fn(task, None), pipe)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            running.append((index, pid, read_fd))
+        index, pid, read_fd = running.pop(0)
+        with os.fdopen(read_fd, "rb") as pipe:
+            results[index] = pickle.load(pipe)
+        os.waitpid(pid, 0)
+    return results
+
+
 def bench_dispatch(n_tasks: int, n_jobs: int, repeat: int) -> List[Dict]:
-    """Per-task dispatch overhead: fork-per-task vs. the warm pool.
+    """Per-task dispatch overhead: a fork per task vs. the warm pool.
 
     Both sides run the same no-op task list, so the entire measured
-    time is transport — process management plus pickling.  The legacy
-    path pays a fork + pickle file round-trip per task; the persistent
-    pool pays one pipe message each way.  The per-task costs land in
-    ``params`` (microseconds) and ``speedup`` is the overhead ratio.
+    time is transport — process management plus pickling.  The
+    :func:`fork_per_task` baseline pays a fork and a pipe read per task;
+    the persistent pool pays one pipe message each way.  The per-task
+    costs land in ``params`` (microseconds) and ``speedup`` is the
+    overhead ratio.
     """
-    from .runtime.parallel import fork_per_task_map, shared_pool
+    from repro.runtime.parallel import shared_pool
 
     tasks = list(range(n_tasks))
     pool = shared_pool(n_jobs)
@@ -212,7 +253,7 @@ def bench_dispatch(n_tasks: int, n_jobs: int, repeat: int) -> List[Dict]:
     pool.map(_dispatch_noop, tasks[:n_jobs])
     entry = _entry(
         "dispatch", {"tasks": n_tasks}, n_jobs, repeat,
-        lambda: fork_per_task_map(_dispatch_noop, tasks, n_jobs=n_jobs),
+        lambda: fork_per_task(_dispatch_noop, tasks, n_jobs),
         lambda: pool.map(_dispatch_noop, tasks),
         pickle.dumps,
     )
@@ -234,13 +275,13 @@ def bench_encodings(rows: int, n_sequences: int, table_rows: int) -> List[Dict]:
     construction materialises one dense intermediate that is released
     before the view is returned.
     """
-    from .core.columnar import (
+    from repro.core.columnar import (
         presorted_columns,
         sequence_bitmap,
         table_matrix,
         transaction_bitmap,
     )
-    from .datasets import agrawal, quest_basket, quest_sequences
+    from repro.datasets import agrawal, quest_basket, quest_sequences
 
     db = quest_basket(rows, random_state=2024)
     sdb = quest_sequences(n_sequences, 4, 1.5, n_items=800,
@@ -280,10 +321,10 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
     ``encodings``); with ``repeat > 1`` the best-of timing reflects the
     warm-cache kernel cost.
     """
-    from .associations import dhp, partition_miner
-    from .clustering import KMeans
-    from .datasets import gaussian_blobs, quest_basket, quest_sequences
-    from .sequences import gsp
+    from repro.associations import dhp, partition_miner
+    from repro.clustering import KMeans
+    from repro.datasets import gaussian_blobs, quest_basket, quest_sequences
+    from repro.sequences import gsp
 
     rows = sizes["kernel_rows"]
     n_sequences = sizes["kernel_sequences"]
@@ -366,7 +407,7 @@ def bench_kernels(sizes: Dict, n_jobs: int, repeat: int) -> Dict:
 def run_suite(scale: str = "full", n_jobs: int = 4, repeat: int = 1) -> Dict:
     """Run every benchmark at ``scale``; returns the JSON payload."""
     if scale not in SCALES:
-        from .core.exceptions import ValidationError
+        from repro.core.exceptions import ValidationError
 
         raise ValidationError(
             f"scale must be one of {sorted(SCALES)}, got {scale!r}"
@@ -458,7 +499,7 @@ def write_payload(payload: Dict, path: str) -> None:
 
 
 def render_report(payload: Dict) -> str:
-    """Human-readable table printed by ``repro bench``."""
+    """Human-readable table printed by :func:`main`."""
     lines = [
         f"parallel benchmark suite (scale={payload['scale']}, "
         f"n_jobs={payload['n_jobs']}, n_cpus={payload['n_cpus']})",
@@ -503,30 +544,38 @@ def render_report(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def main(scale: str = "full", n_jobs: int = 4, repeat: int = 1,
-         output: Optional[str] = "BENCH_parallel.json") -> Dict:
-    """Run, print and (optionally) write the suite; returns the payload."""
-    payload = run_suite(scale=scale, n_jobs=n_jobs, repeat=repeat)
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run, print and (optionally) write the suite; returns the exit code."""
+    parser = argparse.ArgumentParser(
+        description="run the parallel benchmark suite, write "
+                    "BENCH_parallel.json",
+    )
+    parser.add_argument(
+        "--scale", choices=sorted(SCALES), default="full",
+        help="workload sizes: full (committed trajectory) or smoke (CI)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=4, metavar="N",
+        help="worker count for the parallel side of each benchmark",
+    )
+    parser.add_argument(
+        "--repeat", type=int, default=1, metavar="N",
+        help="take the best wall-clock of N runs per side",
+    )
+    parser.add_argument(
+        "--output", default="BENCH_parallel.json", metavar="PATH",
+        help="JSON output path ('-' to skip writing)",
+    )
+    args = parser.parse_args(argv)
+    payload = run_suite(scale=args.scale, n_jobs=args.jobs,
+                        repeat=args.repeat)
     print(render_report(payload))
-    if output:
-        write_payload(payload, output)
-        print(f"wrote {output}")
-    return payload
+    if args.output != "-":
+        write_payload(payload, args.output)
+        print(f"wrote {args.output}")
+    entries = payload["benchmarks"] + payload["kernels"]["benchmarks"]
+    return 0 if all(e["identical"] for e in entries) else 2
 
 
-__all__ = [
-    "SCALES",
-    "SCHEMA_VERSION",
-    "bench_apriori",
-    "bench_crossval",
-    "bench_dispatch",
-    "bench_encodings",
-    "bench_kernels",
-    "bench_kmeans",
-    "bench_partition",
-    "main",
-    "render_report",
-    "run_suite",
-    "validate_payload",
-    "write_payload",
-]
+if __name__ == "__main__":
+    raise SystemExit(main())

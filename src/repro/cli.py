@@ -1,6 +1,6 @@
 """Command-line interface: ``repro <command>``.
 
-Seven commands cover the library's workflows without writing Python:
+Six commands cover the library's workflows without writing Python:
 
 * ``repro mine``       — frequent itemsets + rules from a FIMI-format
   transaction file (one transaction per line, integer items).
@@ -10,8 +10,6 @@ Seven commands cover the library's workflows without writing Python:
 * ``repro cluster``    — cluster the numeric columns of a typed CSV.
 * ``repro generate``   — emit synthetic workloads (basket / table /
   blobs) for the other commands to consume.
-* ``repro bench``      — run the fixed parallel benchmark suite and
-  write ``BENCH_parallel.json`` (see :mod:`repro.bench`).
 * ``repro algorithms`` — list every registered algorithm with its
   declared capabilities (``--json`` for the machine-readable table).
 * ``repro serve``      — run the fault-tolerant mining job server
@@ -200,27 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--centers", type=int, default=3)
     generate.add_argument("--seed", type=int, default=0)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the parallel benchmark suite, write BENCH_parallel.json",
-    )
-    bench.add_argument(
-        "--scale", choices=["full", "smoke"], default="full",
-        help="workload sizes: full (committed trajectory) or smoke (CI)",
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
-        help="worker count for the parallel side of each benchmark",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="take the best wall-clock of N runs per side",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_parallel.json", metavar="PATH",
-        help="JSON output path ('-' to skip writing)",
-    )
-
     algorithms = sub.add_parser(
         "algorithms",
         help="list registered algorithms and their capabilities",
@@ -383,16 +360,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from . import bench
-
-    output = None if args.output == "-" else args.output
-    payload = bench.main(scale=args.scale, n_jobs=args.jobs,
-                         repeat=args.repeat, output=output)
-    entries = payload["benchmarks"] + payload["kernels"]["benchmarks"]
-    return 0 if all(e["identical"] for e in entries) else 2
-
-
 def _cmd_algorithms(args) -> int:
     from . import registry
 
@@ -426,7 +393,6 @@ COMMANDS = {
     "classify": _cmd_run,
     "cluster": _cmd_run,
     "generate": _cmd_generate,
-    "bench": _cmd_bench,
     "algorithms": _cmd_algorithms,
     "serve": _cmd_serve,
 }

@@ -90,9 +90,9 @@ def _fold_task(args, _shard_ctx):
 
     The table travels as a shared-segment handle (placed once per
     cross-validation run); the factory and fold indices ride in the
-    task tuple.  Factories that do not pickle (e.g. lambdas wrapping a
-    configured model) make the map fall back to fork-per-task, where
-    closures survive the fork, so both styles keep working.
+    task tuple.  A factory that does not pickle (e.g. a lambda wrapping
+    a configured model) makes the map run the folds inline in the
+    parent, so both styles give the serial scores.
     """
     table_handle, make_classifier, target, train_idx, test_idx = args
     table = get_object(table_handle) \

@@ -36,8 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "fsio": ("atomic_write_bytes", "clear_injector", "injected",
              "install_injector"),
     "parallel": ("INLINE_RESULT_LIMIT", "WorkerCrashed", "WorkerPool",
-                 "close_shared_pools", "fork_per_task_map", "shard_bounds",
-                 "shared_pool"),
+                 "close_shared_pools", "shard_bounds", "shared_pool"),
     "retry": ("RetryPolicy",),
     "transport": ("SegmentHandle", "SharedRegion", "get_array", "get_object",
                   "segment_dir", "sweep_stale_tmp", "sweep_stale_transport"),

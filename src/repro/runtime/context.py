@@ -42,7 +42,6 @@ from ..core.base import check_in_range
 from ..core.exceptions import ValidationError
 from .budget import Budget, CancellationToken
 from .checkpoint import Checkpointer
-from .retry import RetryPolicy
 
 #: policies accepted by the levelwise miners (apriori, apriori_tid, dhp)
 LEVELWISE_POLICIES = ("raise", "truncate", "partition", "sampling")
@@ -140,10 +139,6 @@ class ExecutionContext:
         Optional :class:`~repro.runtime.CancellationToken` polled by
         :meth:`step` even when no budget is attached.  (A budget's own
         token is still honoured through ``budget.check``.)
-    retry:
-        Optional :class:`~repro.runtime.RetryPolicy` carried for the
-        caller that owns the run loop (the context itself never
-        retries).
     on_progress:
         Optional callable ``(phase, info_dict)`` invoked at every
         :meth:`step`, independent of any budget-level progress hook.
@@ -159,13 +154,11 @@ class ExecutionContext:
         budget: Optional[Budget] = None,
         checkpointer: Optional[Checkpointer] = None,
         cancel_token: Optional[CancellationToken] = None,
-        retry: Optional[RetryPolicy] = None,
         on_progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
     ):
         self.budget = budget
         self.checkpointer = checkpointer
         self.cancel_token = cancel_token
-        self.retry = retry
         self.on_progress = on_progress
         self.counters = RunCounters()
         self._key: Optional[Dict[str, Any]] = None
@@ -180,7 +173,6 @@ class ExecutionContext:
             self.budget is None
             and self.checkpointer is None
             and self.cancel_token is None
-            and self.retry is None
             and self.on_progress is None
         )
 
@@ -202,7 +194,6 @@ class ExecutionContext:
             "budget": self.budget,
             "checkpointer": self.checkpointer,
             "cancel_token": self.cancel_token,
-            "retry": self.retry,
             "on_progress": self.on_progress,
         }
         unknown = set(changes) - set(fields)
@@ -316,8 +307,6 @@ class ExecutionContext:
             slots.append("checkpointer")
         if self.cancel_token is not None:
             slots.append("cancel_token")
-        if self.retry is not None:
-            slots.append("retry")
         if self.on_progress is not None:
             slots.append("on_progress")
         inner = "+".join(slots) if slots else "null"

@@ -3,18 +3,16 @@
 The shard-then-merge algorithms of the mining canon — Partition mines
 its database chunks independently (Savasere et al., VLDB '95), CLARA
 scores independent samples, levelwise miners sum per-chunk candidate
-counts — parallelise naturally, but the first cut of this module paid
-a fork plus a pickled-file round trip *per task*, which ate the
-parallel win before core count even mattered.  :class:`WorkerPool` is
-now a persistent prefork pool: N long-lived workers forked once per
-pool lifetime, fed task descriptors over pipes, returning small
-results inline and reserving the file transport of
-:mod:`repro.runtime.transport` for oversized payloads.  Large inputs
-travel as :class:`~repro.runtime.transport.SegmentHandle` references
-into shared mmap segments placed once per parallel region, not as
-per-task pickles.
+counts — parallelise naturally, as long as dispatch costs less than
+the shard.  :class:`WorkerPool` is a persistent prefork pool: N
+long-lived workers forked once per pool lifetime, fed task descriptors
+over pipes, returning small results inline and reserving the file
+transport of :mod:`repro.runtime.transport` for oversized payloads.
+Large inputs travel as :class:`~repro.runtime.transport.SegmentHandle`
+references into shared mmap segments placed once per parallel region,
+not as per-task pickles.
 
-The contracts of the fork-per-task era survive unchanged:
+Its contracts:
 
 * **Determinism** — tasks are identified by their position; results are
   merged in task order no matter which worker finishes first, so
@@ -36,15 +34,12 @@ The contracts of the fork-per-task era survive unchanged:
   dead slot is respawned at the next dispatch, so one OOM kill costs
   one task, not the pool.
 
-Tasks that do not survive a pipe — closures over databases, lambdas —
-fall back transparently to the legacy fork-per-task path
-(:func:`fork_per_task_map`), which inherits everything by fork.  The
-pooled fast path needs module-level task functions and picklable task
-descriptors; the algorithm layer meets it with segment handles.
-
 ``n_jobs=1`` (the default everywhere) runs shards inline in the parent
 process — no fork, no transport, byte-identical to the pre-parallel
-code path.
+code path.  A map whose function or tasks cannot cross a pipe
+(closures over databases, lambdas) runs inline the same way: the pool
+needs module-level task functions and picklable task descriptors,
+which the algorithm layer meets with segment handles.
 """
 
 from __future__ import annotations
@@ -72,14 +67,19 @@ from .fsio import atomic_write_bytes
 from .transport import (
     READ_ERRORS,
     TMP_SUFFIX,
+    bind_to_parent_death,
     read_result,
     sweep_stale_transport,
-    write_result,
 )
 
 #: pickled-result size (bytes) above which a worker ships its payload
 #: through the file transport instead of the pipe.
 INLINE_RESULT_LIMIT = 1 << 20
+
+#: upper bound (seconds) on the parent's wait between polls of the
+#: cancellation token and budget deadline during a pooled map; a result
+#: arriving wakes the parent at once.
+POLL_INTERVAL = 0.01
 
 
 def shard_bounds(n: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -158,26 +158,6 @@ pool-smoke job greps for exactly this string after the suites exit.
 """
 
 
-def _set_pdeathsig() -> None:
-    """Ask the kernel to SIGKILL this worker when its parent dies.
-
-    Same mechanism the supervisor's children use: a SIGKILLed pool
-    owner cannot run its cleanup, so the workers must not depend on it.
-    Also renames the process to :data:`WORKER_COMM` so stray workers
-    are identifiable from ``ps``.
-    """
-    try:
-        import ctypes
-
-        PR_SET_PDEATHSIG = 1
-        PR_SET_NAME = 15
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-        libc.prctl(PR_SET_NAME, WORKER_COMM, 0, 0, 0)
-    except Exception:  # pragma: no cover - non-Linux / no libc
-        pass
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -205,7 +185,7 @@ def _worker_main(conn, scratch: str) -> None:
     PDEATHSIG covers a parent that dies without running cleanup.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _set_pdeathsig()
+    bind_to_parent_death(WORKER_COMM)
     # The inherited heap (shared segments, module state, the parent's
     # whole object graph) is permanent from this worker's point of
     # view: freezing it keeps the cyclic GC from crawling millions of
@@ -298,41 +278,33 @@ class WorkerPool:
         Maximum concurrent workers; ``1`` runs every shard inline in
         the parent (no fork), ``-1`` uses one worker per available
         core.
-    start_method:
-        ``multiprocessing`` start method; the default ``"fork"`` makes
-        the workers inherit the parent's memory image, which is what
-        lets shared segments placed before the first dispatch reach
-        them copy-on-write.
-    poll_interval:
-        Upper bound on the parent's wait between polls of the
-        cancellation token and budget deadline (result arrival wakes
-        the parent immediately via ``connection.wait``).
     inline_result_limit:
         Pickled-result size above which a worker ships through the
         file transport instead of the pipe.
 
-    The pool is a context manager; workers are forked lazily at the
-    first parallel ``map`` and reused across successive maps until
-    :meth:`close`.  A pool that is garbage-collected or alive at
-    interpreter exit shuts its workers down via ``weakref.finalize``,
-    so no usage pattern leaks processes.
+    Workers are forked (never spawned): they inherit the parent's
+    memory image, which is what lets shared segments placed before the
+    first dispatch reach them copy-on-write.  The pool is a context
+    manager; workers are forked lazily at the first parallel ``map``
+    and reused across successive maps until :meth:`close`.  A pool that
+    is garbage-collected or alive at interpreter exit shuts its workers
+    down via ``weakref.finalize``, so no usage pattern leaks processes.
 
     Examples
     --------
+    A lambda does not pickle, so this map runs inline in the parent;
+    a module-level function would run on the workers, with the same
+    result:
+
     >>> with WorkerPool(n_jobs=2) as pool:
     ...     pool.map(lambda span, ctx: sum(range(*span)), [(0, 5), (5, 10)])
     [10, 35]
     """
 
-    def __init__(self, n_jobs: int = 1, start_method: str = "fork",
-                 poll_interval: float = 0.01,
+    def __init__(self, n_jobs: int = 1,
                  inline_result_limit: int = INLINE_RESULT_LIMIT):
-        check_in_range("poll_interval", poll_interval, 0.0, None,
-                       low_inclusive=False)
         check_in_range("inline_result_limit", inline_result_limit, 1, None)
         self.n_jobs = effective_n_jobs(n_jobs)
-        self.start_method = start_method
-        self.poll_interval = float(poll_interval)
         self.inline_result_limit = int(inline_result_limit)
         self._workers: List[_WorkerSlot] = []
         self._scratch: Optional[Path] = None
@@ -380,10 +352,9 @@ class WorkerPool:
         to the parent), busy workers are SIGTERMed, and idle workers
         stay warm for the next map.
 
-        ``fn``/task pairs that cannot be pickled (closures over
-        databases, lambdas) fall back to the legacy fork-per-task path
-        transparently — correctness is identical, only the dispatch
-        cost differs.
+        An ``fn``/task pair that cannot be pickled (a closure over a
+        database, a lambda) runs inline in the parent, exactly as under
+        ``n_jobs=1``: same results, no parallelism.
         """
         tasks = list(tasks)
         if not tasks:
@@ -399,10 +370,7 @@ class WorkerPool:
             if elapsed < SMALL_TASK_SECONDS or len(tasks) == 1:
                 return head + [fn(task, ctx) for task in tasks]
         if not self._pipe_safe(fn, tasks[0], ctx):
-            return head + fork_per_task_map(
-                fn, tasks, n_jobs=self.n_jobs, ctx=ctx, phase=phase,
-                poll_interval=self.poll_interval,
-            )
+            return head + [fn(task, ctx) for task in tasks]
         with self._map_lock:
             return head + self._map_pooled(fn, tasks, ctx, phase)
 
@@ -465,7 +433,7 @@ class WorkerPool:
             self._finalizer = None
         import multiprocessing
 
-        mp = multiprocessing.get_context(self.start_method)
+        mp = multiprocessing.get_context("fork")
         if self._scratch is None:
             sweep_stale_transport(once=True)
             self._scratch = Path(tempfile.mkdtemp(prefix="repro-pool-"))
@@ -492,15 +460,15 @@ class WorkerPool:
         budget = None if ctx is None else ctx.budget
         results: List[Any] = [None] * len(tasks)
         pending = list(enumerate(tasks))
-        error: Optional[BaseException] = None
+        # Any error raised in this loop — a shard's own exception, a
+        # crashed worker, the budget or the cancellation token — ends
+        # the map: busy workers are SIGTERMed, idle ones stay warm.
         try:
-            while error is None and (
-                pending or any(s.busy_index is not None
-                               for s in self._workers)
-            ):
+            while pending or any(s.busy_index is not None
+                                 for s in self._workers):
                 # Fill idle workers.  The shard context is derived at
                 # dispatch time so later tasks see the budget remaining
-                # *after* earlier charges — same as fork-per-task did.
+                # *after* earlier charges.
                 for slot in self._workers:
                     if not pending:
                         break
@@ -512,24 +480,16 @@ class WorkerPool:
                         slot.conn.send((index, fn, task, _shard_ctx(ctx),
                                         self.inline_result_limit))
                     except (BrokenPipeError, OSError):
-                        pending.insert(0, (index, task))
-                        error = self._crash_error(slot, index)
-                        break
+                        raise self._crash_error(slot, index)
                     slot.busy_index = index
-                if error is not None:
-                    break
                 busy = [s for s in self._workers if s.busy_index is not None]
                 if not busy and pending:
                     # every worker slot died before accepting work
-                    error = error or WorkerCrashed(
-                        "no live pool workers remain",
-                        task_index=pending[0][0],
-                    )
-                    break
+                    raise WorkerCrashed("no live pool workers remain",
+                                        task_index=pending[0][0])
                 waitables = [s.conn for s in busy] + \
                     [s.proc.sentinel for s in busy]
-                ready = set(_mpconn.wait(waitables,
-                                         timeout=self.poll_interval))
+                ready = set(_mpconn.wait(waitables, timeout=POLL_INTERVAL))
                 # Parent-side fan-out point: budget deadline and
                 # cancellation fire here, terminating busy workers.
                 if ctx is not None:
@@ -538,35 +498,25 @@ class WorkerPool:
                     ctx.raise_if_cancelled()
                 for slot in busy:
                     if slot.conn in ready or slot.conn.poll(0):
-                        outcome = self._collect(slot, budget, phase)
+                        index, value = self._collect(slot, budget, phase)
+                        results[index] = value
                     elif slot.proc.sentinel in ready:
-                        outcome = _ShardError(
-                            self._crash_error(slot, slot.busy_index)
-                        )
-                        slot.busy_index = None
-                    else:
-                        continue
-                    if isinstance(outcome, _ShardError):
-                        error = outcome.error
-                        break
-                    results[outcome.index] = outcome.value
-            if error is not None:
-                raise error
+                        index, slot.busy_index = slot.busy_index, None
+                        raise self._crash_error(slot, index)
             return results
         except BaseException:
             self._terminate_busy()
             raise
 
     def _collect(self, slot: _WorkerSlot, budget, phase):
-        """Turn one worker's answer into a value or a shard error."""
-        index = slot.busy_index
+        """``(index, value)`` of one worker's answer; raises the shard's
+        error, or :class:`WorkerCrashed` for a lost answer."""
+        index, slot.busy_index = slot.busy_index, None
         try:
             blob = slot.conn.recv_bytes()
         except (EOFError, OSError):
             slot.proc.join(5.0)
-            slot.busy_index = None
-            return _ShardError(self._crash_error(slot, index))
-        slot.busy_index = None
+            raise self._crash_error(slot, index)
         slot.tasks_done += 1
         try:
             if blob[:1] == b"I":
@@ -579,22 +529,19 @@ class WorkerPool:
                 except OSError:
                     pass
         except READ_ERRORS as exc:
-            return _ShardError(WorkerCrashed(
+            raise WorkerCrashed(
                 f"pool worker answered for shard {index} but its result "
                 f"is missing or unreadable ({exc!r})",
                 task_index=index,
                 exit_code=0,
-            ))
+            )
         # Charging before propagating keeps the parent budget
         # authoritative: a shard that burned the last of the allowance
         # makes the *parent* raise, exactly as the serial loop would.
-        try:
-            _charge_usage(budget, payload.get("usage", {}), phase)
-        except BaseException as exc:
-            return _ShardError(exc)
+        _charge_usage(budget, payload.get("usage", {}), phase)
         if payload["ok"]:
-            return _ShardValue(index, payload["value"])
-        return _ShardError(payload["error"])
+            return index, payload["value"]
+        raise payload["error"]
 
     def _crash_error(self, slot: _WorkerSlot, index) -> WorkerCrashed:
         slot.proc.join(5.0)
@@ -634,161 +581,6 @@ class WorkerPool:
         self._workers[:] = [
             s for s in self._workers if s.proc.exitcode is None
         ]
-
-
-# ----------------------------------------------------------------------
-# Legacy fork-per-task path (pipe-unsafe callables; bench baseline)
-# ----------------------------------------------------------------------
-def _forked_shard_main(fn, task, ctx, result_path: str) -> None:
-    """Entry point of one fork-per-task child (legacy transport).
-
-    Exit protocol mirrors the supervisor's: ``0`` means a complete
-    payload file exists (a value *or* a pickled application error plus
-    the shard's budget usage); anything else is a crash for the parent
-    to classify.
-    """
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        budget = None if ctx is None else ctx.budget
-        try:
-            value = fn(task, ctx)
-        except BaseException as exc:
-            write_result(result_path, {
-                "ok": False, "error": exc, "usage": _budget_usage(budget),
-            })
-            os._exit(0)
-        write_result(result_path, {
-            "ok": True, "value": value, "usage": _budget_usage(budget),
-        })
-        os._exit(0)
-    except BaseException:  # pragma: no cover - last-resort crash path
-        import traceback
-
-        traceback.print_exc()
-        os._exit(1)
-
-
-def fork_per_task_map(
-    fn: Callable[[Any, Optional[ExecutionContext]], Any],
-    tasks: Sequence[Any],
-    n_jobs: int = 2,
-    ctx: Optional[ExecutionContext] = None,
-    phase: str = "shard",
-    poll_interval: float = 0.01,
-    start_method: str = "fork",
-) -> List[Any]:
-    """The original fork-per-task execution strategy, kept on two jobs:
-
-    as the fallback for callables that cannot cross a pipe (closures
-    inherit everything by fork), and as the baseline the dispatch
-    benchmark measures the pool against.  Same contracts as
-    :meth:`WorkerPool.map`: order-preserving merge, sub-budget
-    charge-back, cancellation fan-out, crash classification.
-    """
-    import multiprocessing
-
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    n_jobs = effective_n_jobs(n_jobs)
-    if n_jobs == 1 or len(tasks) == 1:
-        return [fn(task, ctx) for task in tasks]
-    sweep_stale_transport(once=True)
-    mp = multiprocessing.get_context(start_method)
-    budget = None if ctx is None else ctx.budget
-    scratch = Path(tempfile.mkdtemp(prefix="repro-pool-"))
-    results: List[Any] = [None] * len(tasks)
-    pending = list(enumerate(tasks))
-    running: List[Tuple[int, Any, Path]] = []
-    error: Optional[BaseException] = None
-
-    def _collect(index, exit_code, result_path):
-        if exit_code != 0:
-            signal_number = -exit_code if exit_code < 0 else None
-            detail = (
-                f"killed by {signal.Signals(signal_number).name}"
-                if signal_number is not None
-                else f"exited with status {exit_code}"
-            )
-            return _ShardError(WorkerCrashed(
-                f"pool worker for shard {index} {detail}",
-                task_index=index,
-                exit_code=exit_code,
-                signal_number=signal_number,
-            ))
-        try:
-            payload = read_result(str(result_path))
-        except READ_ERRORS as exc:
-            return _ShardError(WorkerCrashed(
-                f"pool worker for shard {index} exited cleanly but its "
-                f"result file is missing or unreadable ({exc!r})",
-                task_index=index,
-                exit_code=0,
-            ))
-        try:
-            _charge_usage(budget, payload.get("usage", {}), phase)
-        except BaseException as exc:
-            return _ShardError(exc)
-        if payload["ok"]:
-            return _ShardValue(index, payload["value"])
-        return _ShardError(payload["error"])
-
-    try:
-        while (pending or running) and error is None:
-            while pending and len(running) < n_jobs:
-                index, task = pending.pop(0)
-                result_path = scratch / f"shard-{index}.pkl"
-                proc = mp.Process(
-                    target=_forked_shard_main,
-                    args=(fn, task, _shard_ctx(ctx), str(result_path)),
-                )
-                proc.start()
-                running.append((index, proc, result_path))
-            time.sleep(poll_interval)
-            if ctx is not None:
-                if budget is not None:
-                    budget.check(phase=phase)
-                ctx.raise_if_cancelled()
-            still_running = []
-            for index, proc, result_path in running:
-                if proc.exitcode is None:
-                    still_running.append((index, proc, result_path))
-                    continue
-                outcome = _collect(index, proc.exitcode, result_path)
-                if isinstance(outcome, _ShardError):
-                    error = outcome.error
-                    break
-                results[index] = outcome.value
-            running = still_running
-        if error is not None:
-            raise error
-        return results
-    finally:
-        for _index, proc, _path in running:
-            if proc.exitcode is None:
-                proc.terminate()
-        deadline = time.monotonic() + 5.0
-        for _index, proc, _path in running:
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.exitcode is None:  # pragma: no cover - stuck child
-                proc.kill()
-                proc.join(1.0)
-        shutil.rmtree(scratch, ignore_errors=True)
-
-
-class _ShardValue:
-    __slots__ = ("index", "value")
-
-    def __init__(self, index, value):
-        self.index = index
-        self.value = value
-
-
-class _ShardError:
-    __slots__ = ("error",)
-
-    def __init__(self, error):
-        self.error = error
 
 
 # ----------------------------------------------------------------------
@@ -839,7 +631,6 @@ __all__ = [
     "WorkerCrashed",
     "WorkerPool",
     "close_shared_pools",
-    "fork_per_task_map",
     "shard_bounds",
     "shared_pool",
 ]

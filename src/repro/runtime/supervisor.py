@@ -54,6 +54,7 @@ from .faults import ChaosMonkey, TransientFault
 from .retry import RetryPolicy
 from .transport import (
     READ_ERRORS,
+    bind_to_parent_death,
     read_result,
     sweep_stale_tmp,
     sweep_stale_transport,
@@ -293,25 +294,6 @@ def _sigterm_to_exception(signum, frame):
     raise _HardTerminated()
 
 
-def _bind_to_parent_death() -> None:
-    """Ask the kernel to SIGKILL this child when its parent dies.
-
-    ``PR_SET_PDEATHSIG`` (Linux-only, best-effort elsewhere) closes the
-    orphan gap for long-lived services: a supervisor whose *own* process
-    is SIGKILLed never reaches its cleanup code, and without this the
-    mining child would keep running — and keep writing checkpoints —
-    while a restarted service resumes the same job from the same store.
-    """
-    try:
-        import ctypes
-
-        PR_SET_PDEATHSIG = 1
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.prctl(PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-    except Exception:  # pragma: no cover - non-Linux platforms
-        pass
-
-
 def _child_rss_guard(fn: Callable[[], None]) -> None:
     """Run ``fn``; any ``MemoryError`` becomes the dedicated exit code."""
     try:
@@ -320,8 +302,7 @@ def _child_rss_guard(fn: Callable[[], None]) -> None:
         os._exit(EXIT_MEMORY)
 
 
-def _child_main(target, args, kwargs, limits, result_path,
-                bind_parent_death=False) -> None:
+def _child_main(target, args, kwargs, limits, result_path) -> None:
     """Entry point of the forked child.
 
     Exit protocol: ``0`` means a complete result file exists (success
@@ -331,8 +312,7 @@ def _child_main(target, args, kwargs, limits, result_path,
     is a crash for the parent to classify.
     """
     try:
-        if bind_parent_death:
-            _bind_to_parent_death()
+        bind_to_parent_death()
         if limits is not None:
             limits.apply_in_child()
         signal.signal(signal.SIGTERM, _sigterm_to_exception)
@@ -406,10 +386,6 @@ class Supervisor:
         Optional :class:`~repro.runtime.faults.ChaosMonkey` that stalks
         every attempt's child from a watcher thread — the fault-injection
         path used by the kill-storm tests and the CI chaos smoke job.
-    start_method:
-        ``multiprocessing`` start method.  The default ``"fork"`` lets
-        targets close over unpicklable state (databases, fitted models)
-        because the child inherits the parent's memory image.
     scratch_dir:
         Directory for the result transport files.  ``None`` (the
         default) uses a fresh ``mkdtemp`` removed after the run; a path
@@ -420,11 +396,6 @@ class Supervisor:
         swept of stale ``*.tmp`` payloads *and* stale ``result-*.pkl``
         files from a previous life (a dead run's complete result must
         never be mistaken for the new run's).
-    kill_on_parent_death:
-        When True every child binds its fate to the supervising process
-        (``PR_SET_PDEATHSIG``, Linux): SIGKILLing the supervisor kills
-        the child too, so a restarted service resuming the same
-        checkpoint directory never races a live orphan.
     stop_event:
         Optional :class:`threading.Event` giving the caller a
         cooperative kill switch over the running attempt.  When set,
@@ -433,6 +404,12 @@ class Supervisor:
         if it lingers, and :class:`SupervisorStopped` is raised — no
         :class:`FailureReport`, no retries.  The job server's drain
         path and lease reaper both stop jobs through this seam.
+
+    Every child is forked, so a target may close over unpicklable state
+    (databases, fitted models): the child inherits the parent's memory
+    image.  Every child also dies with the supervising process
+    (``PR_SET_PDEATHSIG``, Linux), so a restarted service resuming the
+    same checkpoint directory never races a live orphan.
 
     Examples
     --------
@@ -455,9 +432,7 @@ class Supervisor:
         resume: bool = False,
         keep_snapshots: bool = False,
         monkey: Optional[ChaosMonkey] = None,
-        start_method: str = "fork",
         scratch_dir: Optional[str] = None,
-        kill_on_parent_death: bool = False,
         stop_event: Optional[threading.Event] = None,
     ):
         check_in_range("checkpoint_every", checkpoint_every, 1, None)
@@ -468,9 +443,7 @@ class Supervisor:
         self.resume = bool(resume)
         self.keep_snapshots = bool(keep_snapshots)
         self.monkey = monkey
-        self.start_method = start_method
         self.scratch_dir = scratch_dir
-        self.kill_on_parent_death = bool(kill_on_parent_death)
         self.stop_event = stop_event
         #: FailureReports of crashed attempts from the last run.
         self.reports_: List[FailureReport] = []
@@ -557,11 +530,9 @@ class Supervisor:
             kwargs["ctx"] = base_ctx.replace(checkpointer=checkpointer)
         result_path = scratch / f"result-{attempt}.pkl"
 
-        ctx = multiprocessing.get_context(self.start_method)
-        proc = ctx.Process(
+        proc = multiprocessing.get_context("fork").Process(
             target=_child_main,
-            args=(target, args, kwargs, self.limits, str(result_path),
-                  self.kill_on_parent_death),
+            args=(target, args, kwargs, self.limits, str(result_path)),
         )
         started = time.monotonic()
         proc.start()

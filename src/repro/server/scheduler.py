@@ -12,8 +12,8 @@ module wires them around the :class:`~repro.server.store.JobStore`.
   ``resume=True`` and a persistent scratch dir in its store directory:
   a child crash (:class:`~repro.runtime.SupervisedCrash`, a transient
   fault) is retried with backoff and resumed from the newest snapshot.
-  Children die with the scheduler (``kill_on_parent_death``), so no
-  orphan races a restarted server over the same checkpoints.
+  Supervised children die with the scheduler (``PR_SET_PDEATHSIG``), so
+  no orphan races a restarted server over the same checkpoints.
 * :meth:`Scheduler.start` re-enqueues every job a dead server left
   ``running``; with checkpoint resume, a job is never lost and its
   result is byte-identical to an uninterrupted run.
@@ -840,7 +840,6 @@ class Scheduler:
                 **checkpoint,
                 resume=True,
                 scratch_dir=str(store.scratch_dir(job_id)),
-                kill_on_parent_death=True,
                 stop_event=active.stop_event if active is not None else None,
             )
             try:

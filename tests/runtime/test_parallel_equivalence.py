@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.associations import apriori, dhp, partition_miner
-from repro.classification import NaiveBayes
+from repro.classification import C45, NaiveBayes
 from repro.clustering import CLARA, KMeans
 from repro.core.columnar import transaction_bitmap
 from repro.core.exceptions import ValidationError
@@ -121,6 +121,17 @@ def test_crossval_equivalence(n_jobs):
     sharded = cross_val_score(NaiveBayes, table, "group", n_folds=5,
                               random_state=0, n_jobs=n_jobs)
     assert sharded == serial
+
+
+def test_crossval_lambda_factory_matches_serial():
+    # A lambda factory does not pickle, so the folds run inline in the
+    # parent: the scores must still be the serial ones.
+    table = agrawal(250, function=1, noise=0.05, random_state=13)
+    serial = cross_val_score(lambda: C45(), table, "group", n_folds=5,
+                             random_state=0, n_jobs=1)
+    inline = cross_val_score(lambda: C45(), table, "group", n_folds=5,
+                             random_state=0, n_jobs=2)
+    assert inline == serial
 
 
 def test_bitmap_counts_match_reference(basket):

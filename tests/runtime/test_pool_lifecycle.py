@@ -259,3 +259,17 @@ class TestSmallTaskGating:
             pids = pool.map(_slow_pid_task, [0, 1, 2, 3], probe=True)
             assert pids[0] == os.getpid()  # the probe runs inline
             assert set(pids[1:]) == set(pool.worker_pids)
+
+
+# ----------------------------------------------------------------------
+# Maps that cannot cross a pipe run inline
+# ----------------------------------------------------------------------
+class TestUnpicklableMaps:
+    def test_lambda_map_runs_serially_in_the_parent(self):
+        tasks = list(range(6))
+        with WorkerPool(n_jobs=2) as pool:
+            out = pool.map(lambda task, _ctx: (task * task, os.getpid()),
+                           tasks)
+            assert pool.worker_pids == []
+        assert [value for value, _pid in out] == [t * t for t in tasks]
+        assert {pid for _value, pid in out} == {os.getpid()}

@@ -9,12 +9,17 @@ hygiene on success.
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.associations import apriori
 from repro.core.exceptions import ValidationError
+from repro.datasets import quest_basket, save_transactions
 from repro.runtime import (
     ChaosMonkey,
     CheckpointStore,
@@ -347,3 +352,64 @@ class TestChaosMonkeyUnit:
 def test_peak_child_rss_helper_is_positive():
     Supervisor().run(_add, 0, 0)
     assert _peak_child_rss_mb() > 0
+
+
+# ----------------------------------------------------------------------
+# A supervised child dies with its parent
+# ----------------------------------------------------------------------
+def _proc_stat(pid):
+    """``/proc/<pid>/stat`` fields from the state on, or None if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid):
+    """``(pid, start time)`` of every live process whose parent is pid."""
+    found = []
+    for entry in os.listdir("/proc"):
+        fields = _proc_stat(entry) if entry.isdigit() else None
+        if fields and int(fields[1]) == pid and fields[0] != "Z":
+            found.append((int(entry), fields[19]))
+    return found
+
+
+def _alive(pid, started):
+    fields = _proc_stat(pid)
+    return bool(fields) and fields[19] == started and fields[0] not in "ZX"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigkilled_cli_parent_takes_its_supervised_child_along(tmp_path):
+    basket = tmp_path / "basket.dat"
+    save_transactions(quest_basket(4000, random_state=0), str(basket))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    # About 30 s of mining: the child is mid-run when its parent dies.
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "mine", str(basket),
+         "--min-support", "0.005", "--supervise"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    children = []
+    try:
+        deadline = time.monotonic() + 30
+        while (not children and parent.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+            children = _children(parent.pid)
+        assert children, "the supervised child never started"
+        time.sleep(1.0)
+        parent.kill()
+        parent.wait()
+        time.sleep(2.0)
+        assert [c for c in children if _alive(*c)] == []
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid, started in children:
+            if _alive(pid, started):
+                os.kill(pid, signal.SIGKILL)

@@ -1,14 +1,19 @@
-"""Benchmark harness: schema validation and payload shape.
+"""Parallel benchmark suite: schema validation and payload shape.
 
-The suite itself runs in CI's ``bench-smoke`` job (and ``repro bench``
-locally); these tests cover the schema contract without paying for a
-full run — one real smoke-sized benchmark plus synthetic payloads
-through ``validate_payload``.
+The suite is the script ``benchmarks/parallel_suite.py``; it runs in
+CI's ``bench-smoke`` job.  These tests cover the schema contract
+without paying for a full run — one real smoke-sized benchmark plus
+synthetic payloads through ``validate_payload``.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
-from repro import bench
+_SUITE = Path(__file__).resolve().parents[1] / "benchmarks" / "parallel_suite.py"
+_spec = importlib.util.spec_from_file_location("parallel_suite", _SUITE)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
 
 
 def _entry(name="apriori", **overrides):
