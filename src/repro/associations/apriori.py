@@ -218,10 +218,9 @@ def _count_shard_task(args, shard_ctx):
     from ..runtime.transport import get_object
 
     db_handle, cands_handle, backend, bitmap_handle, begin, stop = args
-    budget = None if shard_ctx is None else shard_ctx.budget
     return shard_count_vector(
         get_object(db_handle), get_object(cands_handle), backend,
-        begin, stop, budget=budget,
+        begin, stop, ctx=shard_ctx,
         bitmap=get_object(bitmap_handle) if bitmap_handle is not None
         else None,
     )
@@ -232,11 +231,10 @@ def _count_candidate_shard_task(args, shard_ctx):
     from ..runtime.transport import get_object
 
     db_handle, cands_handle, backend, bitmap_handle, begin, stop = args
-    budget = None if shard_ctx is None else shard_ctx.budget
     db = get_object(db_handle)
     return shard_count_vector(
         db, get_object(cands_handle)[begin:stop], backend,
-        0, len(db), budget=budget,
+        0, len(db), ctx=shard_ctx,
         bitmap=get_object(bitmap_handle) if bitmap_handle is not None
         else None,
     )
@@ -269,7 +267,6 @@ def count_pass(
     created and released here — correct, but placing the database once
     per pass instead of once per run.
     """
-    budget = None if ctx is None else ctx.budget
     if n_jobs > 1 and len(db) > 1:
         counts = _map_reduce_counts(
             db, candidates, k, backend, ctx, n_jobs, bitmap, assets
@@ -280,28 +277,28 @@ def count_pass(
             if cnt >= min_count
         }
     if backend == "hash_tree":
-        return _count_with_hash_tree(db, candidates, min_count, budget)
+        return _count_with_hash_tree(db, candidates, min_count, ctx)
     if bitmap is None:
         bitmap = transaction_bitmap(db)
-    return bitmap.frequent(candidates, min_count, budget)
+    return bitmap.frequent(candidates, min_count, ctx)
 
 
 def shard_count_vector(
     db, candidates, backend, begin, stop,
-    budget=None, bitmap=None,
+    ctx=None, bitmap=None,
 ):
     """Support counts of ``candidates`` over rows ``[begin, stop)``.
 
     Returns a plain list aligned with ``candidates`` — the merge unit
     of the map-reduce path.  Runs inside forked workers, so it must
-    only read ``db``/``bitmap`` (inherited copy-on-write) and respect
-    its shard-local ``budget``.
+    only read ``db``/``bitmap`` (inherited copy-on-write) and tick its
+    shard context, whose budget is shard-local.
     """
     if backend == "bitmap":
         store = bitmap if bitmap is not None else transaction_bitmap(db)
-        return store.count(candidates, budget, begin, stop)
+        return store.count(candidates, ctx, begin, stop)
     tree = HashTree(candidates)
-    tree.count_transactions(db[begin:stop], budget)
+    tree.count_transactions(db[begin:stop], ctx)
     return tree.count_vector()
 
 
@@ -349,9 +346,9 @@ def _map_reduce_counts(db, candidates, k, backend, ctx, n_jobs,
     return [sum(column) for column in zip(*vectors)]
 
 
-def _count_with_hash_tree(db, candidates, min_count, budget=None) -> Dict[Itemset, int]:
+def _count_with_hash_tree(db, candidates, min_count, ctx=None) -> Dict[Itemset, int]:
     tree = HashTree(candidates)
-    tree.count_transactions(db, budget)
+    tree.count_transactions(db, ctx)
     return tree.frequent(min_count)
 
 

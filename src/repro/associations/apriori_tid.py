@@ -85,7 +85,7 @@ def apriori_tid(
     def count(candidates, k):
         nonlocal tidlists
         frequent, tidlists = tid_pass(
-            tidlists, candidates, k, min_count, ctx.budget
+            tidlists, candidates, k, min_count, ctx
         )
         return frequent
 
@@ -116,7 +116,7 @@ def tid_pass(
     candidates: List[Itemset],
     k: int,
     min_count: int,
-    budget: Optional[Budget] = None,
+    ctx: Optional[ExecutionContext] = None,
 ) -> Tuple[Dict[Itemset, int], TidLists]:
     """One AprioriTid counting pass: C̄_{k-1} → (frequent k-itemsets, C̄_k).
 
@@ -135,8 +135,8 @@ def tid_pass(
     counts: Dict[Itemset, int] = dict.fromkeys(candidates, 0)
     next_tidlists: TidLists = []
     for i, (tid, present) in enumerate(tidlists):
-        if budget is not None and i % 256 == 0:
-            budget.check(phase=f"tid-count-{k}")
+        if ctx is not None and i % 256 == 0:
+            ctx.tick(f"tid-count-{k}")
         supported = []
         for gen1 in present:
             for cand, gen2 in by_gen1.get(gen1, ()):

@@ -109,8 +109,8 @@ def dhp(
         item_counts: Dict[int, int] = {}
         buckets = [0] * n_buckets
         for i, txn in enumerate(db):
-            if budget is not None and i % 256 == 0:
-                budget.check(phase="dhp-pass-1")
+            if i % 256 == 0:
+                ctx.tick("dhp-pass-1")
             for item in txn:
                 item_counts[item] = item_counts.get(item, 0) + 1
             for a, b in combinations(txn, 2):

@@ -19,7 +19,7 @@ from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -75,7 +75,6 @@ def eclat(
         if len(tids) >= min_count
     ]
 
-    budget = ctx.budget
     resumed = ctx.resume(
         lambda: checkpoint_key("eclat", db, min_support, max_size=max_size)
     )
@@ -94,7 +93,7 @@ def eclat(
             ctx.step(f"eclat-root-{i}", n_frequent=len(frequent))
             itemset, tids = root[i]
             _expand_member(
-                root, i, itemset, tids, min_count, max_size, frequent, budget
+                root, i, itemset, tids, min_count, max_size, frequent, ctx
             )
             ctx.mark(lambda: {"next_root": i + 1, "frequent": dict(frequent)})
     except BudgetExceeded as exc:
@@ -120,11 +119,12 @@ def _expand_member(
     min_count: int,
     max_size: Optional[int],
     out: Dict[Itemset, int],
-    budget: Optional[Budget],
+    ctx: ExecutionContext,
 ) -> None:
     """Expand member ``i`` of an equivalence class against later members."""
     if max_size is not None and len(itemset) >= max_size:
         return
+    budget = ctx.budget
     child: List[Tuple[Itemset, frozenset]] = []
     for other_itemset, other_tids in members[i + 1:]:
         if budget is not None:
@@ -135,7 +135,7 @@ def _expand_member(
             out[joined] = len(joined_tids)
             child.append((joined, joined_tids))
     if child:
-        _mine_class(child, min_count, max_size, out, budget)
+        _mine_class(child, min_count, max_size, out, ctx)
 
 
 def _mine_class(
@@ -143,18 +143,17 @@ def _mine_class(
     min_count: int,
     max_size: Optional[int],
     out: Dict[Itemset, int],
-    budget: Optional[Budget] = None,
+    ctx: ExecutionContext,
 ) -> None:
     """Depth-first expansion of one prefix equivalence class.
 
     ``members`` all share the same (len-1) prefix; pairing member i with
     each later member j yields the child class with prefix = itemset i.
     """
-    if budget is not None:
-        budget.check(phase="eclat-class")
+    ctx.tick("eclat-class")
     for i, (itemset, tids) in enumerate(members):
         _expand_member(
-            members, i, itemset, tids, min_count, max_size, out, budget
+            members, i, itemset, tids, min_count, max_size, out, ctx
         )
 
 

@@ -115,9 +115,11 @@ def fp_growth(
     :func:`~repro.associations.apriori.apriori`; ``pass_stats`` is empty
     because FP-Growth is not levelwise.
 
-    The budget in ``ctx`` is charged one expansion per conditional-tree
-    descent and one candidate per emitted itemset (including the
-    combinatorial single-path emission, FP-Growth's blow-up site).  ``on_exhausted``
+    ``ctx`` ticks every 256 transactions of the tree build and once per
+    conditional-tree descent, charging its budget one expansion; the
+    budget is also charged one candidate per emitted itemset (including
+    the combinatorial single-path emission, FP-Growth's blow-up site).
+    ``on_exhausted``
     supports ``"raise"`` and ``"truncate"`` — FP-Growth has no cheaper
     fallback miner, so the partition/sampling policies are rejected.
     FP-Growth has no resumable boundary, so it declares no checkpoint
@@ -133,7 +135,6 @@ def fp_growth(
         ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "fp_growth")
     ctx.raise_if_cancelled()
-    budget = ctx.budget
     if max_size is not None and max_size < 1:
         raise ValidationError(f"max_size must be >= 1, got {max_size}")
     n = len(db)
@@ -153,8 +154,8 @@ def fp_growth(
 
     tree = _FPTree()
     for i, txn in enumerate(db):
-        if budget is not None and i % 256 == 0:
-            budget.check(phase="fp-tree-build")
+        if i % 256 == 0:
+            ctx.tick("fp-tree-build")
         filtered = sorted(
             (item for item in txn if item in frequent_items),
             key=order.__getitem__,
@@ -164,7 +165,7 @@ def fp_growth(
 
     out: Dict[Itemset, int] = {}
     try:
-        _mine(tree, (), min_count, max_size, out, budget)
+        _mine(tree, (), min_count, max_size, out, ctx)
     except BudgetExceeded as exc:
         if on_exhausted == "raise":
             raise
@@ -186,10 +187,10 @@ def _mine(
     min_count: int,
     max_size: Optional[int],
     out: Dict[Itemset, int],
-    budget: Optional[Budget] = None,
+    ctx: ExecutionContext,
 ) -> None:
-    if budget is not None:
-        budget.charge_expansions(phase="fp-mine")
+    ctx.tick("fp-mine", expansions=1)
+    budget = ctx.budget
     path = tree.single_path()
     if path is not None:
         _emit_single_path(path, suffix, max_size, out, budget)
@@ -208,7 +209,7 @@ def _mine(
             continue
         cond_tree = _conditional_tree(tree, item, min_count)
         if cond_tree is not None:
-            _mine(cond_tree, new_suffix, min_count, max_size, out, budget)
+            _mine(cond_tree, new_suffix, min_count, max_size, out, ctx)
 
 
 def _conditional_tree(

@@ -130,16 +130,17 @@ class HashTree:
     def count_transactions(
         self,
         transactions: Iterable[Sequence[int]],
-        budget: Optional[object] = None,
+        ctx: Optional[object] = None,
     ) -> None:
         """Count every transaction in ``transactions``.
 
-        ``budget`` (a :class:`~repro.runtime.Budget`) is checked
-        periodically so a deadline or cancellation fires mid-scan.
+        ``ctx`` (a :class:`~repro.runtime.ExecutionContext`) ticks every
+        256 transactions, so a deadline or cancellation fires mid-scan
+        and a long scan beats.
         """
         for i, txn in enumerate(transactions):
-            if budget is not None and i % 256 == 0:
-                budget.check(phase="hash-tree-count")
+            if ctx is not None and i % 256 == 0:
+                ctx.tick("hash-tree-count")
             self.count_transaction(txn)
 
     def _descend(self, node: _Node, txn: Sequence[int], start: int) -> None:

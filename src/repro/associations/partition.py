@@ -26,7 +26,7 @@ from ..core.columnar import popcount, transaction_bitmap, window_mask
 from ..core.exceptions import ValidationError
 from ..core.itemsets import FrequentItemsets, Itemset
 from ..core.transactions import TransactionDatabase
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -114,7 +114,6 @@ def partition_miner(
     min_count = min_count_from_support(n, min_support)
     bounds = _partition_bounds(n, n_partitions)
 
-    budget = ctx.budget
     resumed = ctx.resume(lambda: checkpoint_key(
         "partition", db, min_support,
         max_size=max_size, n_partitions=n_partitions,
@@ -176,7 +175,7 @@ def partition_miner(
                     1, math.ceil(min_support * (stop - begin))
                 )
                 candidates |= _mine_partition(
-                    db, begin, stop, local_min_count, max_size, budget,
+                    db, begin, stop, local_min_count, max_size, ctx,
                     backend,
                 )
                 ctx.mark(lambda: {
@@ -186,15 +185,15 @@ def partition_miner(
         # --------------------------------------------------------------
         # Scan 2: global counting of the candidate union.
         # --------------------------------------------------------------
-        supports = _global_count(db, candidates, min_count, budget,
-                                 ctx=ctx, n_jobs=n_jobs,
-                                 region=region, db_handle=db_handle,
-                                 backend=backend)
+        supports = _global_count(db, candidates, min_count, ctx,
+                                 n_jobs=n_jobs, region=region,
+                                 db_handle=db_handle, backend=backend)
     except BudgetExceeded as exc:
         if on_exhausted == "raise":
             raise
-        supports = _global_count(db, candidates, min_count, None,
-                                 backend=backend)
+        # Recount the candidates found so far without the spent budget.
+        supports = _global_count(db, candidates, min_count,
+                                 ctx.replace(budget=None), backend=backend)
         return FrequentItemsets(
             supports,
             n,
@@ -214,10 +213,9 @@ def _mine_partition_task(args, shard_ctx):
     from ..runtime.transport import get_object
 
     db_handle, begin, stop, local_min_count, max_size, backend = args
-    budget = None if shard_ctx is None else shard_ctx.budget
     return _mine_partition(
         get_object(db_handle), begin, stop, local_min_count, max_size,
-        budget, backend,
+        shard_ctx, backend,
     )
 
 
@@ -226,10 +224,9 @@ def _count_range_task(args, shard_ctx):
     from ..runtime.transport import get_object
 
     db_handle, ordered_handle, begin, stop, backend = args
-    budget = None if shard_ctx is None else shard_ctx.budget
     return _count_range(
         get_object(db_handle), get_object(ordered_handle), begin, stop,
-        budget, backend,
+        shard_ctx, backend,
     )
 
 
@@ -237,8 +234,7 @@ def _global_count(
     db: TransactionDatabase,
     candidates: Set[Itemset],
     min_count: int,
-    budget: Optional[Budget],
-    ctx: Optional[ExecutionContext] = None,
+    ctx: ExecutionContext,
     n_jobs: int = 1,
     region=None,
     db_handle=None,
@@ -264,7 +260,7 @@ def _global_count(
             region.release(ordered_handle)
         totals = [sum(column) for column in zip(*vectors)]
     else:
-        totals = _count_range(db, ordered, 0, len(db), budget, backend)
+        totals = _count_range(db, ordered, 0, len(db), ctx, backend)
     return {
         cand: cnt
         for cand, cnt in zip(ordered, totals)
@@ -277,19 +273,19 @@ def _count_range(
     ordered: List[Itemset],
     begin: int,
     stop: int,
-    budget: Optional[Budget],
+    ctx: ExecutionContext,
     backend: str = "tidset",
 ) -> List[int]:
     """Scan-2 counts of ``ordered`` over rows ``[begin, stop)``."""
     if backend == "bitset":
-        return transaction_bitmap(db).count(ordered, budget, begin, stop)
+        return transaction_bitmap(db).count(ordered, ctx, begin, stop)
     counts: Dict[Itemset, int] = dict.fromkeys(ordered, 0)
     by_size: Dict[int, List[Itemset]] = {}
     for cand in ordered:
         by_size.setdefault(len(cand), []).append(cand)
     for i in range(begin, stop):
-        if budget is not None and i % 256 == 0:
-            budget.check(phase="partition-scan-2")
+        if i % 256 == 0:
+            ctx.tick("partition-scan-2")
         txn = db[i]
         txn_set = set(txn)
         for size, cands in by_size.items():
@@ -319,7 +315,7 @@ def _mine_partition(
     stop: int,
     min_count: int,
     max_size: Optional[int],
-    budget: Optional[Budget] = None,
+    ctx: ExecutionContext,
     backend: str = "tidset",
 ) -> Set[Itemset]:
     """Local frequent itemsets of db[start:stop] via tidlist DFS.
@@ -349,14 +345,14 @@ def _mine_partition(
         ]
         size = len
     found: Set[Itemset] = {itemset for itemset, _ in root}
-    _expand(root, min_count, max_size, found, budget, size)
+    _expand(root, min_count, max_size, found, ctx, size)
     return found
 
 
-def _expand(members, min_count, max_size, found: Set[Itemset], budget=None,
+def _expand(members, min_count, max_size, found: Set[Itemset], ctx,
             size=len) -> None:
-    if budget is not None:
-        budget.check(phase="partition-class")
+    ctx.tick("partition-class")
+    budget = ctx.budget
     for i, (itemset, tids) in enumerate(members):
         if max_size is not None and len(itemset) >= max_size:
             continue
@@ -370,7 +366,7 @@ def _expand(members, min_count, max_size, found: Set[Itemset], budget=None,
                 found.add(new_itemset)
                 child.append((new_itemset, joined))
         if child:
-            _expand(child, min_count, max_size, found, budget, size)
+            _expand(child, min_count, max_size, found, ctx, size)
 
 
 __all__ = ["partition_miner"]

@@ -24,7 +24,6 @@ import numpy as np
 from ..core.base import Classifier, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.table import Attribute, Table
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import entropy, information_gain, split_information
 from .pruning import pessimistic_prune
@@ -149,17 +148,11 @@ class C45(Classifier):
                 stacklevel=2,
             )
             return Leaf(counts)
-        if self.budget is not None:
-            try:
-                self.budget.charge_nodes(phase="c45-grow")
-                self.budget.check(phase="c45-grow")
-            except BudgetExceeded as exc:
-                # Graceful degradation: this subtree (and, since the
-                # budget stays exhausted, every remaining frontier node)
-                # finalizes as a leaf.
-                self.truncated_ = True
-                self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                return Leaf(counts)
+        if not self._tick("c45-grow", nodes=1):
+            # Graceful degradation: this subtree (and, since the budget
+            # stays exhausted, every remaining frontier node) finalizes
+            # as a leaf.
+            return Leaf(counts)
 
         best = self._best_split(indices, weights, available)
         if best is None:

@@ -23,7 +23,6 @@ import numpy as np
 from ..core.base import Classifier, check_in_range
 from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import entropy, gini
 from .pruning import prune_to_alpha
@@ -138,14 +137,8 @@ class CART(Classifier):
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
             return Leaf(counts)
-        if self.budget is not None:
-            try:
-                self.budget.charge_nodes(phase="cart-grow")
-                self.budget.check(phase="cart-grow")
-            except BudgetExceeded as exc:
-                self.truncated_ = True
-                self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                return Leaf(counts)
+        if not self._tick("cart-grow", nodes=1):
+            return Leaf(counts)
 
         best = self._best_split(indices)
         if best is None:

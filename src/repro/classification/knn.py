@@ -36,7 +36,11 @@ class KNN(Classifier):
         ``"uniform"`` majority vote or ``"distance"`` (inverse-distance)
         weighted vote.
     block_size:
-        Rows of the query matrix processed per distance block.
+        Rows of the query matrix processed per distance block; predict
+        ticks its context once per block.
+    ctx:
+        Optional :class:`~repro.runtime.ExecutionContext`: cancellation
+        and progress beats reach prediction block by block.
 
     Notes
     -----
@@ -132,6 +136,7 @@ class KNN(Classifier):
         n = features.n_rows
         proba = np.empty((n, self._n_classes))
         for start in range(0, n, self.block_size):
+            self.ctx.tick("knn-predict")
             stop = min(start + self.block_size, n)
             d = self._distances(q_num[start:stop], q_cat[start:stop])
             neighbour_idx = np.argpartition(d, self.n_neighbors - 1, axis=1)[

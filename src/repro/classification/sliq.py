@@ -38,7 +38,6 @@ from ..core.base import Classifier, check_in_range
 from ..core.columnar import presorted_columns
 from ..core.exceptions import ValidationError
 from ..core.table import Attribute, Table
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .criteria import gini
 from .pruning import pessimistic_prune
@@ -157,19 +156,11 @@ class SLIQ(Classifier):
         depth = 0
 
         while growing and (self.max_depth is None or depth < self.max_depth):
-            if self.budget is not None:
-                try:
-                    self.budget.check(phase=f"sliq-level-{depth}")
-                    # Applying this level materialises up to two children
-                    # per splitter; charge before the work happens.
-                    self.budget.charge_nodes(
-                        2 * len(growing), phase=f"sliq-level-{depth}"
-                    )
-                except BudgetExceeded as exc:
-                    # The tail below finalizes every still-growing leaf.
-                    self.truncated_ = True
-                    self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                    break
+            # Applying this level materialises up to two children per
+            # splitter; charge before the work happens.  On exhaustion
+            # the tail below finalizes every still-growing leaf.
+            if not self._tick(f"sliq-level-{depth}", nodes=2 * len(growing)):
+                break
             for g in growing.values():
                 g.best_decrease = self.min_gini_decrease
                 g.best_split = None

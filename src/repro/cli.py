@@ -123,13 +123,6 @@ def _usage_error(args, spec, params) -> Optional[str]:
             return "--max-rss-mb requires --supervise"
         if args.hard_time_limit is not None:
             return "--hard-time-limit requires --supervise"
-        return None
-    if not caps.supervisable:
-        return (
-            f"{spec.name} does not support checkpoint/resume, so "
-            "--supervise cannot recover it after a crash; pick a "
-            "checkpoint-aware algorithm or drop --supervise"
-        )
     return None
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ValidationError
 from ..core.random import RandomState
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import nearest_center
 
@@ -147,16 +146,10 @@ class Birch(Clusterer):
         self.truncation_reason_ = None
         for x in X:
             self._insert(CF.of_point(np.asarray(x, dtype=np.float64)))
-            if self.budget is not None:
-                # Charge after inserting, so a truncated tree always
-                # summarises at least the points already scanned.
-                try:
-                    self.budget.charge_nodes(phase="birch-insert")
-                    self.budget.check(phase="birch-insert")
-                except BudgetExceeded as exc:
-                    self.truncated_ = True
-                    self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                    break
+            # Charge after inserting, so a truncated tree always
+            # summarises at least the points already scanned.
+            if not self._tick("birch-insert", nodes=1):
+                break
 
         leaf_cfs = self._leaf_entries()
         centroids = np.stack([cf.centroid for cf in leaf_cfs])

@@ -20,7 +20,6 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState, check_random_state
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances
 
@@ -152,14 +151,8 @@ class CLARANS(Clusterer):
                     examined = 0
                     accepted = 0
                 while examined < max_neighbor:
-                    if self.budget is not None:
-                        try:
-                            self.budget.charge_expansions(phase="clarans-descent")
-                            self.budget.check(phase="clarans-descent")
-                        except BudgetExceeded as exc:
-                            self.truncated_ = True
-                            self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                            break
+                    if not self._tick("clarans-descent", expansions=1):
+                        break
                     m_pos = int(rng.integers(k))
                     h = int(rng.integers(n))
                     if h in current:

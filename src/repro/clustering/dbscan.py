@@ -123,8 +123,7 @@ class DBSCAN(Clusterer):
             region_query = self._brute_neighbours_fn(X)
 
         def neighbours(idx: int) -> np.ndarray:
-            if self.budget is not None:
-                self.budget.charge_expansions(phase="dbscan-region-query")
+            self.ctx.tick("dbscan-region-query", expansions=1)
             return region_query(idx)
 
         self.truncated_ = False

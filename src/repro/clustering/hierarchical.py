@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ValidationError
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances
 
@@ -110,14 +109,8 @@ class Agglomerative(Clusterer):
         members: List[List[int]] = [[i] for i in range(n)]
 
         while len(active) > 1:
-            if self.budget is not None:
-                try:
-                    self.budget.charge_expansions(phase="agglomerative-merge")
-                    self.budget.check(phase="agglomerative-merge")
-                except BudgetExceeded as exc:
-                    self.truncated_ = True
-                    self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                    break
+            if not self._tick("agglomerative-merge", expansions=1):
+                break
             # Closest active pair.
             sub = d[np.ix_(active, active)]
             flat = int(np.argmin(sub))

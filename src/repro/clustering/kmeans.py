@@ -17,7 +17,6 @@ import numpy as np
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
 from ..core.random import RandomState, check_random_state, spawn
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext, resolve_n_jobs
 from .distance import nearest_center, pairwise_distances
 
@@ -370,19 +369,6 @@ class KMeans(Clusterer):
     # ------------------------------------------------------------------
     # Optimisation
     # ------------------------------------------------------------------
-    def _charge_iteration(self, phase: str) -> bool:
-        """Charge one optimisation iteration; True when budget survives."""
-        if self.budget is None:
-            return True
-        try:
-            self.budget.charge_expansions(phase=phase)
-            self.budget.check(phase=phase)
-        except BudgetExceeded as exc:
-            self.truncated_ = True
-            self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-            return False
-        return True
-
     def _lloyd(self, X, centers, rng, start_iter=0, on_iter=None):
         if self.backend == "elkan":
             return self._lloyd_elkan(
@@ -392,7 +378,7 @@ class KMeans(Clusterer):
         converged = False
         iteration = start_iter
         for iteration in range(start_iter + 1, self.max_iter + 1):
-            if not self._charge_iteration("kmeans-lloyd"):
+            if not self._tick("kmeans-lloyd", expansions=1):
                 break
             labels, sq = nearest_center(X, centers)
             new_centers = centers.copy()
@@ -428,7 +414,7 @@ class KMeans(Clusterer):
         converged = False
         iteration = start_iter
         for iteration in range(start_iter + 1, self.max_iter + 1):
-            if not self._charge_iteration("kmeans-lloyd"):
+            if not self._tick("kmeans-lloyd", expansions=1):
                 break
             if labels is None:
                 labels, sq = nearest_center(X, centers)
@@ -474,7 +460,7 @@ class KMeans(Clusterer):
         converged = False
         iteration = start_iter
         for iteration in range(start_iter + 1, self.max_iter + 1):
-            if not self._charge_iteration("kmeans-macqueen"):
+            if not self._tick("kmeans-macqueen", expansions=1):
                 break
             moved = 0.0
             for x in X:

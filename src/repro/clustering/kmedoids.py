@@ -17,7 +17,6 @@ import numpy as np
 
 from ..core.base import Clusterer, check_in_range
 from ..core.exceptions import ConvergenceWarning, ValidationError
-from ..runtime import BudgetExceeded
 from ..runtime.context import ExecutionContext
 from .distance import pairwise_distances
 
@@ -140,14 +139,8 @@ class PAM(Clusterer):
         n = len(d)
         medoids = list(medoids)
         for swaps_done in range(start, self.max_swaps):
-            if self.budget is not None:
-                try:
-                    self.budget.charge_expansions(phase="pam-swap")
-                    self.budget.check(phase="pam-swap")
-                except BudgetExceeded as exc:
-                    self.truncated_ = True
-                    self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
-                    break
+            if not self._tick("pam-swap", expansions=1):
+                break
             med = np.array(medoids)
             dist_to_meds = d[:, med]
             order = np.argsort(dist_to_meds, axis=1)

@@ -20,7 +20,12 @@ from typing import Hashable, List, Optional
 
 import numpy as np
 
-from .exceptions import EmptyInputError, NotFittedError, ValidationError
+from .exceptions import (
+    EmptyInputError,
+    NotFittedError,
+    ReproError,
+    ValidationError,
+)
 from .table import Attribute, Table
 
 
@@ -84,7 +89,9 @@ class ContextAware:
     defaults ``None`` to a null context.  The read-only ``budget`` /
     ``checkpoint`` properties expose the context's slots; to swap one
     (say, installing a per-attempt checkpointer before a supervised
-    fit), assign through ``self.ctx``.
+    fit), assign through ``self.ctx``.  A fit's loops call
+    :meth:`_tick` once per unit of work, so every fit is budgeted,
+    cancellable and beats its progress hook through one seam.
 
     Imports from :mod:`repro.runtime` are deferred to call time because
     the runtime package itself imports this module.
@@ -114,6 +121,27 @@ class ContextAware:
     @property
     def checkpoint(self):
         return self.ctx.checkpointer
+
+    def _tick(self, phase: str, **units: int) -> bool:
+        """One unit of fit work through ``ctx.tick``; True while the
+        budget lasts.
+
+        On exhaustion it records ``truncated_`` and
+        ``truncation_reason_`` and returns False, and the fit keeps
+        what it has built (a frontier of leaves, the best clustering so
+        far).  Cancellation still raises.
+        """
+        try:
+            self.ctx.tick(phase, **units)
+        except ReproError as exc:
+            from ..runtime.budget import BudgetExceeded
+
+            if not isinstance(exc, BudgetExceeded):
+                raise
+            self.truncated_ = True
+            self.truncation_reason_ = f"{type(exc).__name__}: {exc}"
+            return False
+        return True
 
 
 class Classifier(ContextAware):

@@ -48,7 +48,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime import Budget
 from .itemsets import Itemset
 
 try:  # numpy >= 2.0
@@ -142,7 +141,7 @@ class PackedBitmap:
     def count(
         self,
         candidates: Sequence[Itemset],
-        budget: Optional[Budget] = None,
+        ctx: Optional[object] = None,
         begin: int = 0,
         stop: Optional[int] = None,
     ) -> List[int]:
@@ -150,11 +149,11 @@ class PackedBitmap:
 
         ``begin``/``stop`` restrict counting to a contiguous transaction
         range — the shard interface of the map-reduce path; per-shard
-        vectors sum element-wise to the full-database counts.  ``budget``
-        is checked periodically so deadlines and cancellation fire
-        mid-count.  The empty itemset is contained in every transaction,
-        so its count is the window width; an empty ``candidates`` list
-        returns ``[]``.
+        vectors sum element-wise to the full-database counts.  ``ctx``
+        (an :class:`~repro.runtime.ExecutionContext`) ticks every 256
+        candidates, so deadlines and cancellation fire mid-count.  The
+        empty itemset is contained in every transaction, so its count is
+        the window width; an empty ``candidates`` list returns ``[]``.
         """
         if stop is None:
             stop = self.n_transactions
@@ -164,8 +163,8 @@ class PackedBitmap:
         width = max(0, min(stop, self.n_transactions) - max(begin, 0))
         counts: List[int] = []
         for i, cand in enumerate(candidates):
-            if budget is not None and i % 256 == 0:
-                budget.check(phase="bitmap-count")
+            if ctx is not None and i % 256 == 0:
+                ctx.tick("bitmap-count")
             cand = tuple(cand)
             if not cand:
                 counts.append(width)
@@ -185,12 +184,12 @@ class PackedBitmap:
         self,
         candidates: Sequence[Itemset],
         min_count: int,
-        budget: Optional[Budget] = None,
+        ctx: Optional[object] = None,
         begin: int = 0,
         stop: Optional[int] = None,
     ) -> Dict[Itemset, int]:
         """Candidates whose windowed support reaches ``min_count``."""
-        counts = self.count(candidates, budget, begin, stop)
+        counts = self.count(candidates, ctx, begin, stop)
         return {
             tuple(cand): cnt
             for cand, cnt in zip(candidates, counts)

@@ -37,15 +37,17 @@ FAMILIES = ("associations", "classification", "clustering", "sequences")
 class Capabilities:
     """What runtime plumbing an algorithm can honour.
 
+    Supervision is not a capability: every algorithm is deterministic,
+    so every one runs under :class:`~repro.runtime.Supervisor` (the
+    CLI's ``--supervise``, every server job), and a relaunched run
+    resumes from its newest snapshot (``checkpointable``) or restarts
+    from scratch to the same result.
+
     Attributes
     ----------
     checkpointable:
         Accepts a checkpointer through its context and resumes from
         snapshots (``--checkpoint-dir`` / ``--resume``).
-    supervisable:
-        Safe to run under :class:`~repro.runtime.Supervisor` with
-        automatic relaunch — either checkpoint-resumable or a
-        deterministic fit that restarts from scratch.
     budget_resource:
         Which budget axis bounds its dominant work — ``"candidates"``,
         ``"nodes"``, ``"expansions"`` — or ``None`` when the algorithm
@@ -67,7 +69,6 @@ class Capabilities:
     """
 
     checkpointable: bool = False
-    supervisable: bool = False
     budget_resource: Optional[str] = None
     degradation_policies: Tuple[str, ...] = ()
     parallelizable: bool = False
@@ -78,8 +79,6 @@ class Capabilities:
         parts = []
         if self.checkpointable:
             parts.append("checkpoint")
-        if self.supervisable:
-            parts.append("supervise")
         if self.parallelizable:
             parts.append("parallel")
         if self.vectorizable:
@@ -95,7 +94,6 @@ class Capabilities:
         the job server's admission layer."""
         return {
             "checkpointable": self.checkpointable,
-            "supervisable": self.supervisable,
             "budget_resource": self.budget_resource,
             "degradation_policies": list(self.degradation_policies),
             "parallelizable": self.parallelizable,
@@ -159,26 +157,25 @@ class AlgorithmSpec:
 _LEVELWISE = ("raise", "truncate", "partition", "sampling")
 _BASIC = ("raise", "truncate")
 
-_RESUMABLE = dict(checkpointable=True, supervisable=True)
 _FAST = dict(parallelizable=True, vectorizable=True)
-_LEVELWISE_CAPS = Capabilities(**_RESUMABLE, **_FAST,
+_LEVELWISE_CAPS = Capabilities(checkpointable=True, **_FAST,
                                budget_resource="candidates",
                                degradation_policies=_LEVELWISE)
-_SHARDED_CAPS = Capabilities(**_RESUMABLE, **_FAST,
+_SHARDED_CAPS = Capabilities(checkpointable=True, **_FAST,
                              budget_resource="candidates",
                              degradation_policies=_BASIC)
 _BUDGETED_CAPS = Capabilities(budget_resource="candidates",
                               degradation_policies=_BASIC)
-# Every classifier is a deterministic fit, so all are supervisable via
-# restart-from-scratch; only the tree growers charge a budget (one node
-# unit per attempted split).
-_TREE_CAPS = Capabilities(supervisable=True, budget_resource="nodes")
-_PLAIN_CAPS = Capabilities(supervisable=True)
+# Only the tree growers charge a budget (one node unit per attempted
+# split); the other classifiers take none.
+_TREE_CAPS = Capabilities(budget_resource="nodes")
+_PLAIN_CAPS = Capabilities()
 # The iterative clusterers snapshot pass boundaries and so are
-# checkpointable and supervisable; the single-shot methods are not.
-# Birch charges the ``nodes`` axis (one unit per point inserted into
-# the CF-tree), unlike the other clusterers' ``expansions``.
-_ITERATIVE_CAPS = Capabilities(**_RESUMABLE, budget_resource="expansions")
+# checkpointable; the single-shot methods rerun from the start.  Birch
+# charges the ``nodes`` axis (one unit per point inserted into the
+# CF-tree), unlike the other clusterers' ``expansions``.
+_ITERATIVE_CAPS = Capabilities(checkpointable=True,
+                               budget_resource="expansions")
 _SINGLE_SHOT_CAPS = Capabilities(budget_resource="expansions")
 
 #: Every algorithm, in the order of the CLI's ``--miner`` /
@@ -194,13 +191,13 @@ ALGORITHMS: Tuple[AlgorithmSpec, ...] = (
         _BUDGETED_CAPS, "pattern growth without candidate generation"),
     AlgorithmSpec(
         "eclat", "associations", "repro.associations.eclat:eclat",
-        Capabilities(**_RESUMABLE, budget_resource="candidates",
+        Capabilities(checkpointable=True, budget_resource="candidates",
                      degradation_policies=_BASIC),
         "vertical tidset intersection, depth-first"),
     AlgorithmSpec(
         "apriori_tid", "associations",
         "repro.associations.apriori_tid:apriori_tid",
-        Capabilities(**_RESUMABLE, budget_resource="candidates",
+        Capabilities(checkpointable=True, budget_resource="candidates",
                      degradation_policies=_LEVELWISE),
         "levelwise over transformed transaction lists"),
     AlgorithmSpec(
@@ -233,7 +230,8 @@ ALGORITHMS: Tuple[AlgorithmSpec, ...] = (
         _PLAIN_CAPS, "majority-class floor"),
     AlgorithmSpec(
         "kmeans", "clustering", "repro.clustering.kmeans:KMeans",
-        Capabilities(**_RESUMABLE, **_FAST, budget_resource="expansions"),
+        Capabilities(checkpointable=True, **_FAST,
+                     budget_resource="expansions"),
         "Lloyd/MacQueen with k-means++ seeding",
         "repro.clustering.adapters:make_kmeans"),
     AlgorithmSpec(

@@ -20,7 +20,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "budget": ("Budget", "BudgetExceeded", "CancellationToken",
                "IterationBudgetExceeded", "OperationCancelled",
-               "ProgressEvent", "SpaceBudgetExceeded", "TimeBudgetExceeded"),
+               "SpaceBudgetExceeded", "TimeBudgetExceeded"),
     "checkpoint": ("CheckpointCorrupted", "CheckpointMismatch",
                    "CheckpointStore", "CheckpointWriteError", "Checkpointer",
                    "Snapshottable"),

@@ -24,22 +24,24 @@ catch one class.  Cancellation deliberately does *not* derive from
 :class:`BudgetExceeded`: algorithms that degrade gracefully on budget
 exhaustion must still abort promptly when cancelled.
 
-A budget with no limits set never raises, and passing ``budget=None``
-(the default everywhere) skips every check — results are bit-identical
-to an unbudgeted run.
+A budget with no limits set never raises, and a run without one (the
+default everywhere) skips every check — results are bit-identical to an
+unbudgeted run.
 
-Checkpoints double as **progress hooks**: pass ``on_progress`` a
-callable and it receives a :class:`ProgressEvent` whenever a guarded
-algorithm reports a pass/level/iteration boundary.  They are also the
-injection points of the fault harness in :mod:`repro.runtime.faults`.
+Algorithms receive their budget through their
+:class:`~repro.runtime.context.ExecutionContext`: ``ctx.step`` checks it
+at pass boundaries, ``ctx.tick`` charges and checks it per unit of work,
+and per-item charges (a generated candidate, an emitted itemset) go to
+it directly.  Progress reports go to the context's ``on_progress``, not
+to the budget.  Checks are also the injection points of the fault
+harness in :mod:`repro.runtime.faults`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..core.base import check_in_range
 from ..core.exceptions import ReproError
@@ -131,25 +133,6 @@ class CancellationToken:
             raise OperationCancelled(self._reason)
 
 
-@dataclass(frozen=True)
-class ProgressEvent:
-    """One progress report from a guarded algorithm.
-
-    Attributes
-    ----------
-    phase:
-        Algorithm-defined label (``"pass-3"``, ``"level-2"``, ...).
-    elapsed:
-        Seconds since the budget started.
-    info:
-        Free-form counters (candidate counts, frontier sizes, ...).
-    """
-
-    phase: str
-    elapsed: float
-    info: Dict[str, object] = field(default_factory=dict)
-
-
 class Budget:
     """Enforceable execution budget, checked cooperatively.
 
@@ -170,8 +153,6 @@ class Budget:
         queries, recursive expansions; an estimate of total work.
     cancel_token:
         Optional :class:`CancellationToken` polled at every checkpoint.
-    on_progress:
-        Optional callable receiving :class:`ProgressEvent` objects.
     check_interval:
         Full (clock + cancellation) checks run every this many charge
         calls; counter caps are still enforced on *every* charge.  Use
@@ -198,7 +179,6 @@ class Budget:
         max_nodes: Optional[int] = None,
         max_expansions: Optional[int] = None,
         cancel_token: Optional[CancellationToken] = None,
-        on_progress: Optional[Callable[[ProgressEvent], None]] = None,
         check_interval: int = 256,
         clock: Optional[Callable[[], float]] = None,
     ):
@@ -216,7 +196,6 @@ class Budget:
         self.max_nodes = max_nodes
         self.max_expansions = max_expansions
         self.cancel_token = cancel_token
-        self.on_progress = on_progress
         self.check_interval = int(check_interval)
         self._clock = clock if clock is not None else time.monotonic
         self._started_at: Optional[float] = None
@@ -326,14 +305,8 @@ class Budget:
         self._charge(n)
 
     # ------------------------------------------------------------------
-    # Progress and fault hooks
+    # Fault hooks
     # ------------------------------------------------------------------
-    def progress(self, phase: str, **info: object) -> None:
-        """Report a progress event to the ``on_progress`` callback."""
-        if self.on_progress is not None:
-            self.start()
-            self.on_progress(ProgressEvent(phase, self.elapsed(), dict(info)))
-
     def install_fault(self, fault: object) -> "Budget":
         """Attach a fault (see :mod:`repro.runtime.faults`); returns self."""
         self._faults.append(fault)
@@ -348,5 +321,4 @@ __all__ = [
     "IterationBudgetExceeded",
     "CancellationToken",
     "OperationCancelled",
-    "ProgressEvent",
 ]

@@ -7,8 +7,15 @@ cross-cutting feature (metrics, sharding, async) would have added yet
 another kwarg chain.  :class:`ExecutionContext` collapses those chains
 into a single seam:
 
-* ``ctx.step(phase=...)`` replaces the scattered
-  ``budget.check()`` / ``budget.progress()`` pairs at loop heads;
+* ``ctx.step(phase=...)`` marks a pass/level/iteration boundary: it
+  checks the budget, polls cancellation and reports progress;
+* ``ctx.tick(phase, **units)`` is the per-unit call inside a step (a
+  tree node, a merge, 256 transactions): it charges the named units and
+  checks the budget when there is one, and at most once every
+  :data:`BEAT_SECONDS` it *beats* — polls the cancellation token and
+  calls ``on_progress`` — with or without a budget, so that every long
+  loop is cancellable and keeps a job's lease alive; ``ctx.beat`` and
+  ``ctx.pulse`` are the beat alone, due or now;
 * ``ctx.mark(state)`` / ``ctx.resume(key)`` / ``ctx.flush()`` replace
   the ``if checkpoint is not None:`` guards around boundary snapshots;
 * :class:`RunCounters` accumulates lightweight run statistics (steps,
@@ -21,7 +28,7 @@ passes no context gets a fresh ``ExecutionContext()``.
 The *null context* — ``ExecutionContext()`` with every slot ``None`` —
 is the default everywhere and is byte-identical to the pre-context bare
 call path: no budget checks, no snapshots, no cancellation polling, only
-counter increments.
+counter increments and a clock read per tick.
 
 The degradation-policy vocabulary shared by the budget-aware miners
 (previously duplicated across nine modules) also lives here:
@@ -48,6 +55,10 @@ LEVELWISE_POLICIES = ("raise", "truncate", "partition", "sampling")
 
 #: policies accepted by every other budget-aware miner
 BASIC_POLICIES = ("raise", "truncate")
+
+#: longest stretch of work between two beats (cancellation poll and
+#: ``on_progress`` call) of a loop that ticks its context
+BEAT_SECONDS = 0.5
 
 
 def check_degradation_policy(
@@ -129,19 +140,20 @@ class ExecutionContext:
     Parameters
     ----------
     budget:
-        Optional :class:`~repro.runtime.Budget`; :meth:`step` checks it
-        and forwards progress info.
+        Optional :class:`~repro.runtime.Budget`; :meth:`step` checks it,
+        :meth:`tick` charges and checks it.
     checkpointer:
         Optional :class:`~repro.runtime.Checkpointer`; :meth:`resume`
         binds the run key, :meth:`mark` snapshots boundaries,
         :meth:`flush` persists on any exit.
     cancel_token:
-        Optional :class:`~repro.runtime.CancellationToken` polled by
-        :meth:`step` even when no budget is attached.  (A budget's own
-        token is still honoured through ``budget.check``.)
+        Optional :class:`~repro.runtime.CancellationToken` polled at
+        every :meth:`step` and beat, even when no budget is attached.
+        (A budget's own token is still honoured through
+        ``budget.check``.)
     on_progress:
         Optional callable ``(phase, info_dict)`` invoked at every
-        :meth:`step`, independent of any budget-level progress hook.
+        :meth:`step` and beat: the one progress hook of a run.
 
     A context is cheap, single-run state: it carries mutable
     :class:`RunCounters` and the bound checkpoint key, so reuse one
@@ -162,6 +174,7 @@ class ExecutionContext:
         self.on_progress = on_progress
         self.counters = RunCounters()
         self._key: Optional[Dict[str, Any]] = None
+        self._beat_at = time.monotonic()
 
     # ------------------------------------------------------------------
     # Introspection / derivation
@@ -248,17 +261,15 @@ class ExecutionContext:
             self.checkpointer.flush()
 
     # ------------------------------------------------------------------
-    # The per-boundary call
+    # The per-boundary and per-unit calls
     # ------------------------------------------------------------------
     def step(self, phase: str, **info: Any) -> None:
         """One pass/iteration boundary: count, check, report.
 
-        Replaces the old ``if budget is not None: budget.check(...);
-        budget.progress(...)`` pairs.  Order matters and is part of the
-        equivalence contract: the budget check runs before any progress
-        reporting, so an exhausted budget raises without emitting a
-        progress event — exactly as the bare ``check``/``progress``
-        pairs behaved.
+        Order matters and is part of the equivalence contract: the
+        budget check runs before any progress reporting, so an
+        exhausted budget raises without emitting a progress event.  A
+        step is a :meth:`pulse`, so it restarts the beat clock.
         """
         counters = self.counters
         counters.steps += 1
@@ -267,11 +278,42 @@ class ExecutionContext:
         counters.expansions += int(info.get("expansions", 0) or 0)
         if self.budget is not None:
             self.budget.check(phase=phase)
-            self.budget.progress(phase, **info)
-        if self.cancel_token is not None:
-            self.cancel_token.raise_if_cancelled()
+        self.pulse(phase, **info)
+
+    def tick(self, phase: str, **units: int) -> None:
+        """One unit of work inside a step: charge, check, maybe beat.
+
+        ``units`` name budget axes and amounts (``nodes=1``,
+        ``expansions=1``, ``candidates=n``); with a budget attached each
+        is charged, then the budget is checked, so exhaustion raises
+        :class:`~repro.runtime.BudgetExceeded` here.  With or without a
+        budget the tick then beats when a beat is due (:meth:`beat`).
+        """
+        budget = self.budget
+        if budget is not None:
+            for resource, amount in units.items():
+                getattr(budget, f"charge_{resource}")(amount, phase=phase)
+            budget.check(phase=phase)
+        self.beat(phase)
+
+    def beat(self, phase: str, **info: Any) -> None:
+        """A :meth:`pulse`, when :data:`BEAT_SECONDS` have passed since
+        the last one (or since the context was made)."""
+        if time.monotonic() - self._beat_at >= BEAT_SECONDS:
+            self.pulse(phase, **info)
+
+    def pulse(self, phase: str, **info: Any) -> None:
+        """Poll cancellation and report ``phase`` now.
+
+        The budget is not consulted: a finished, possibly truncated run
+        still beats while it serializes its result.  The beat clock
+        restarts after ``on_progress`` returns, so a hook that sleeps
+        does not make every later tick beat.
+        """
+        self.raise_if_cancelled()
         if self.on_progress is not None:
             self.on_progress(phase, dict(info))
+        self._beat_at = time.monotonic()
 
     def raise_if_cancelled(self) -> None:
         """Poll the context-level cancellation token, if any."""
@@ -390,6 +432,7 @@ def derive_shard_budget(budget: Optional[Budget]) -> Optional[Budget]:
 
 __all__ = [
     "BASIC_POLICIES",
+    "BEAT_SECONDS",
     "LEVELWISE_POLICIES",
     "ExecutionContext",
     "RunCounters",

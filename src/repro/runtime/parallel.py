@@ -24,11 +24,12 @@ Its contracts:
   counter usage is charged back to the parent budget, so the shared
   limits keep binding across process boundaries and exhaustion raises
   the ordinary :class:`~repro.runtime.BudgetExceeded` in the parent.
-* **Cancellation fan-out** — the parent polls its own
-  :class:`~repro.runtime.CancellationToken` (and budget deadline) while
-  workers run; cancelling the parent token SIGTERMs every busy worker,
-  reaps it, and raises :class:`~repro.runtime.OperationCancelled`.
-  Idle workers survive for the next region.
+* **Cancellation fan-out** — the parent ticks its context while
+  workers run: the budget deadline at every poll, the
+  :class:`~repro.runtime.CancellationToken` and progress hook at every
+  beat; cancelling the parent token SIGTERMs every busy worker, reaps
+  it, and raises :class:`~repro.runtime.OperationCancelled`.  Idle
+  workers survive for the next region.
 * **Crash containment** — a worker that dies mid-task surfaces as a
   structured :class:`WorkerCrashed` carrying the exit status, and the
   dead slot is respawned at the next dispatch, so one OOM kill costs
@@ -76,9 +77,9 @@ from .transport import (
 #: through the file transport instead of the pipe.
 INLINE_RESULT_LIMIT = 1 << 20
 
-#: upper bound (seconds) on the parent's wait between polls of the
-#: cancellation token and budget deadline during a pooled map; a result
-#: arriving wakes the parent at once.
+#: upper bound (seconds) on the parent's wait between two ticks of its
+#: context during a pooled map; a result arriving wakes the parent at
+#: once.
 POLL_INTERVAL = 0.01
 
 
@@ -311,12 +312,12 @@ class WorkerPool:
         self._owner_pid = os.getpid()
         self._closed = False
         self._finalizer = None
-        # Serialises concurrent maps from different threads (the server
-        # runs non-supervisable jobs in worker threads, all of which
-        # reach for the same shared pool).  Interleaving two maps on
-        # one set of slots would cross-deliver results; queueing the
-        # second map is also the right throughput call, since the pool
-        # already holds every worker this pool size is allowed.
+        # Serialises concurrent maps from different threads sharing
+        # one pool (``shared_pool`` hands every caller in a process the
+        # same pool per size).  Interleaving two maps on one set of
+        # slots would cross-deliver results; queueing the second map is
+        # also the right throughput call, since the pool already holds
+        # every worker this pool size is allowed.
         self._map_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -490,12 +491,11 @@ class WorkerPool:
                 waitables = [s.conn for s in busy] + \
                     [s.proc.sentinel for s in busy]
                 ready = set(_mpconn.wait(waitables, timeout=POLL_INTERVAL))
-                # Parent-side fan-out point: budget deadline and
-                # cancellation fire here, terminating busy workers.
+                # Parent-side fan-out point: the budget deadline and
+                # cancellation fire here, terminating busy workers, and
+                # a long map beats the caller's progress hook.
                 if ctx is not None:
-                    if budget is not None:
-                        budget.check(phase=phase)
-                    ctx.raise_if_cancelled()
+                    ctx.tick(phase)
                 for slot in busy:
                     if slot.conn in ready or slot.conn.poll(0):
                         index, value = self._collect(slot, budget, phase)
@@ -594,12 +594,12 @@ def shared_pool(n_jobs: int) -> WorkerPool:
     """The process-wide warm pool for ``n_jobs`` workers.
 
     Algorithm shard points use this instead of constructing throwaway
-    pools, so successive passes — and successive *jobs* in the server —
-    reuse the same forked workers instead of re-paying fork cost per
-    parallel region.  Pools are keyed by worker count and torn down by
-    :func:`close_shared_pools` (wired to ``atexit`` and the scheduler's
-    stop path).  A registry inherited across a fork is abandoned, never
-    reused: each process gets its own workers.
+    pools, so successive passes and runs in one process reuse the same
+    forked workers instead of re-paying fork cost per parallel region.
+    Pools are keyed by worker count and torn down by
+    :func:`close_shared_pools` (wired to ``atexit``).  A registry
+    inherited across a fork is abandoned, never reused: each process —
+    a supervised job child included — gets its own workers.
     """
     global _SHARED_POOLS_PID
     if _SHARED_POOLS_PID != os.getpid():

@@ -32,7 +32,6 @@ from ..core.sequences import SequenceDatabase, SequencePattern
 from ..associations.apriori import min_count_from_support
 from ..associations.candidates import apriori_gen
 from ..associations.levelwise import run_levelwise
-from ..runtime import Budget
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -100,7 +99,7 @@ def apriori_all(
 
     def first_pass():
         # Phase 1: litemsets (customer-level frequent itemsets).
-        litemsets = _mine_litemsets(db, min_count, budget)
+        litemsets = _mine_litemsets(db, min_count, ctx)
         litemset_ids.update(
             {its: idx for idx, its in enumerate(sorted(litemsets))}
         )
@@ -110,7 +109,7 @@ def apriori_all(
         # Phase 2 runs once, ahead of the first sequence pass.
         nonlocal transformed
         if transformed is None:
-            transformed = _transform(db, litemset_ids, budget)
+            transformed = _transform(db, litemset_ids, ctx)
         candidates = _sequence_candidates(list(frequent))
         if budget is not None:
             budget.charge_candidates(len(candidates), phase=f"pass-{k}")
@@ -121,8 +120,8 @@ def apriori_all(
         counts = dict.fromkeys(candidates, 0)
         candidate_ids = [(cand, frozenset(cand)) for cand in candidates]
         for i, t_seq in enumerate(transformed):
-            if budget is not None and i % 64 == 0:
-                budget.check(phase=f"seq-count-{k}")
+            if i % 64 == 0:
+                ctx.tick(f"seq-count-{k}")
             if len(t_seq) < k:
                 continue
             # Prefilter on the union of litemset ids in the sequence.
@@ -163,7 +162,7 @@ def _decode(
 def _transform(
     db: SequenceDatabase,
     litemset_ids: Dict[Itemset, int],
-    budget: Optional[Budget],
+    ctx: ExecutionContext,
 ) -> List[List[Set[int]]]:
     """Phase 2: each element → the set of litemset ids it contains.
 
@@ -171,8 +170,8 @@ def _transform(
     """
     transformed: List[List[Set[int]]] = []
     for i, seq in enumerate(db):
-        if budget is not None and i % 64 == 0:
-            budget.check(phase="aprioriall-transform")
+        if i % 64 == 0:
+            ctx.tick("aprioriall-transform")
         t_seq = []
         for element in seq:
             element_set = set(element)
@@ -189,7 +188,7 @@ def _transform(
 
 
 def _mine_litemsets(
-    db: SequenceDatabase, min_count: int, budget: Optional[Budget] = None
+    db: SequenceDatabase, min_count: int, ctx: ExecutionContext
 ) -> Dict[Itemset, int]:
     """Levelwise customer-support itemset mining within elements."""
     # Pass 1: single items, counted once per customer.
@@ -204,16 +203,15 @@ def _mine_litemsets(
     all_frequent = dict(frequent)
     k = 2
     while frequent:
-        if budget is not None:
-            budget.check(phase=f"litemset-pass-{k}")
-        candidates = apriori_gen(sorted(frequent), budget)
+        ctx.tick(f"litemset-pass-{k}")
+        candidates = apriori_gen(sorted(frequent), ctx.budget)
         if not candidates:
             break
         candidate_set = set(candidates)
         counts = dict.fromkeys(candidates, 0)
         for i, seq in enumerate(db):
-            if budget is not None and i % 64 == 0:
-                budget.check(phase=f"litemset-count-{k}")
+            if i % 64 == 0:
+                ctx.tick(f"litemset-count-{k}")
             supported: Set[Itemset] = set()
             for element in seq:
                 if len(element) < k:

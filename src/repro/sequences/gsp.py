@@ -26,7 +26,6 @@ from ..core.exceptions import ValidationError
 from ..core.sequences import SequenceDatabase, SequencePattern
 from ..associations.apriori import checkpoint_key, min_count_from_support
 from ..associations.levelwise import run_levelwise
-from ..runtime import Budget
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -200,8 +199,7 @@ def gsp(
             totals = [sum(column) for column in zip(*vectors)]
         else:
             totals = _count_range(
-                db, times, candidate_items, k, checker, 0, n, budget,
-                backend,
+                db, times, candidate_items, k, checker, 0, n, ctx, backend,
             )
         return {
             cand: cnt
@@ -234,10 +232,9 @@ def _count_shard_task(args, shard_ctx):
     """Pool task: one shard's candidate counts, inputs via handles."""
     db_handle, cands_handle, k, checker, begin, stop, backend = args
     db, times = get_object(db_handle)
-    budget = None if shard_ctx is None else shard_ctx.budget
     return _count_range(
         db, times, get_object(cands_handle), k, checker, begin, stop,
-        budget, backend,
+        shard_ctx, backend,
     )
 
 
@@ -249,7 +246,7 @@ def _count_range(
     checker: "_ContainsChecker",
     begin: int,
     stop: int,
-    budget: Optional[Budget],
+    ctx: ExecutionContext,
     backend: str = "scan",
 ) -> List[int]:
     """Candidate counts over sequences ``[begin, stop)``.
@@ -260,12 +257,12 @@ def _count_range(
     """
     if backend == "bitmap":
         return _count_range_bitmap(
-            db, times, candidate_items, k, checker, begin, stop, budget
+            db, times, candidate_items, k, checker, begin, stop, ctx
         )
     counts = [0] * len(candidate_items)
     for i in range(begin, stop):
-        if budget is not None and i % 64 == 0:
-            budget.check(phase=f"count-{k}")
+        if i % 64 == 0:
+            ctx.tick(f"count-{k}")
         seq, t = db[i], times[i]
         if sum(len(e) for e in seq) < k:
             continue
@@ -286,7 +283,7 @@ def _count_range_bitmap(
     checker: "_ContainsChecker",
     begin: int,
     stop: int,
-    budget: Optional[Budget],
+    ctx: ExecutionContext,
 ) -> List[int]:
     """Bitmap-prefiltered counts: same predicate, candidate-major order.
 
@@ -302,8 +299,8 @@ def _count_range_bitmap(
     ]
     counts = [0] * len(candidate_items)
     for j, (cand, items) in enumerate(candidate_items):
-        if budget is not None and j % 16 == 0:
-            budget.check(phase=f"count-{k}")
+        if j % 16 == 0:
+            ctx.tick(f"count-{k}")
         for i in bitmap.candidate_sequences(items, begin, stop):
             i = int(i)
             if total_items[i - begin] < k:

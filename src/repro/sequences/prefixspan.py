@@ -26,7 +26,7 @@ from ..core.base import check_nonempty
 from ..core.exceptions import ValidationError
 from ..core.sequences import SequenceDatabase, SequencePattern, pattern_length
 from ..associations.apriori import min_count_from_support
-from ..runtime import Budget, BudgetExceeded
+from ..runtime import BudgetExceeded
 from ..runtime.context import (
     BASIC_POLICIES,
     ExecutionContext,
@@ -85,7 +85,6 @@ def prefixspan(
         ctx = ExecutionContext()
     check_degradation_policy(on_exhausted, BASIC_POLICIES, "prefixspan")
     ctx.raise_if_cancelled()
-    budget = ctx.budget
     n = len(db)
     check_nonempty("sequence database", n, "sequences")
     min_count = min_count_from_support(n, min_support)
@@ -109,7 +108,7 @@ def prefixspan(
                 continue
             pattern: SequencePattern = ((item,),)
             out[pattern] = len(entries)
-            _grow(sequences, pattern, entries, min_count, max_length, out, budget)
+            _grow(sequences, pattern, entries, min_count, max_length, out, ctx)
     except BudgetExceeded as exc:
         if on_exhausted == "raise":
             raise
@@ -131,10 +130,10 @@ def _grow(
     min_count: int,
     max_length: Optional[int],
     out: Dict[SequencePattern, int],
-    budget: Optional[Budget] = None,
+    ctx: ExecutionContext,
 ) -> None:
-    if budget is not None:
-        budget.check(phase="prefixspan-grow")
+    ctx.tick("prefixspan-grow")
+    budget = ctx.budget
     if max_length is not None and pattern_length(pattern) >= max_length:
         return
     last_element = set(pattern[-1])
@@ -171,7 +170,7 @@ def _grow(
         new_pattern = pattern + ((item,),)
         new_entries = _project_sequence_ext(sequences, entries, item)
         out[new_pattern] = len(new_entries)
-        _grow(sequences, new_pattern, new_entries, min_count, max_length, out, budget)
+        _grow(sequences, new_pattern, new_entries, min_count, max_length, out, ctx)
 
     # Itemset extensions: x joins the last element (x > current max item).
     for item in sorted(set_candidates):
@@ -185,7 +184,7 @@ def _grow(
             sequences, entries, last_element, item
         )
         out[new_pattern] = len(new_entries)
-        _grow(sequences, new_pattern, new_entries, min_count, max_length, out, budget)
+        _grow(sequences, new_pattern, new_entries, min_count, max_length, out, ctx)
 
 
 def _project_sequence_ext(

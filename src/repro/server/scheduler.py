@@ -7,18 +7,20 @@ module wires them around the :class:`~repro.server.store.JobStore`.
   (:func:`repro.tasks.run` and the result's ``payload`` view) behind two
   test hooks, ``pass_delay`` and ``kill_at_step``.  The two edges share
   one parameter table and one fit, so they cannot drift.
-* Each dispatched job runs under a :class:`~repro.runtime.Supervisor`
-  (when its capabilities allow) with its own checkpoint directory,
-  ``resume=True`` and a persistent scratch dir in its store directory:
-  a child crash (:class:`~repro.runtime.SupervisedCrash`, a transient
-  fault) is retried with backoff and resumed from the newest snapshot.
-  Supervised children die with the scheduler (``PR_SET_PDEATHSIG``), so
-  no orphan races a restarted server over the same checkpoints.
+* Every dispatched job runs under a :class:`~repro.runtime.Supervisor`
+  in a forked child, with ``resume=True``, a persistent scratch dir in
+  its store directory and, for a checkpointable algorithm, its own
+  checkpoint directory: a child crash
+  (:class:`~repro.runtime.SupervisedCrash`, a transient fault) is
+  retried with backoff and resumed from the newest snapshot, or rerun
+  from the start.  Supervised children die with the scheduler
+  (``PR_SET_PDEATHSIG``), so no orphan races a restarted server over
+  the same checkpoints.
 * :meth:`Scheduler.start` re-enqueues every job a dead server left
   ``running``; with checkpoint resume, a job is never lost and its
   result is byte-identical to an uninterrupted run.
 * Cancellation is durable: a :class:`FileCancelToken` in the forked
-  child polls the store's marker at every ``ctx.step``.
+  child polls the store's marker at every ``ctx.step`` and beat.
 * Quotas degrade instead of failing: the tenant's caps clamp the job's
   own budget (:func:`repro.tasks.job_budget`), the run degrades with its
   ``on_exhausted`` policy (``truncate`` by default), and a truncated
@@ -29,9 +31,10 @@ module wires them around the :class:`~repro.server.store.JobStore`.
 Robustness on top of dispatch (DESIGN.md has the full account):
 
 * **Leases** — the child refreshes the job's lease at every
-  ``ctx.step``; a reaper SIGTERMs a wedged child through the
-  supervisor's ``stop_event`` and re-enqueues its job, or re-enqueues an
-  orphan record directly.
+  ``ctx.step`` and at every beat of a ticking loop (at most
+  :data:`~repro.runtime.context.BEAT_SECONDS` apart); a reaper SIGTERMs
+  a wedged child through the supervisor's ``stop_event`` and re-enqueues
+  its job, or re-enqueues an orphan record directly.
 * **Poison quarantine** — each failed attempt appends to the job's
   ``failures.json``; past ``max_failures`` the job is ``poisoned``.
 * **Graceful drain** — :meth:`Scheduler.drain` stops admission
@@ -43,9 +46,10 @@ Robustness on top of dispatch (DESIGN.md has the full account):
   client's ``idempotency_key`` and the content key
   (:func:`~repro.server.cache.content_key`) to the job id under the
   admission lock, so concurrent retries of one POST share one job.
-* **Progress events** — the child's ``ctx.step`` callback appends to the
-  job's ``events.jsonl`` (chained with the lease beat by
-  :func:`_chain_progress`), resumable across a server crash.
+* **Progress events** — the child's progress hook, called at every
+  ``ctx.step`` and beat, appends to the job's ``events.jsonl`` (chained
+  with the lease beat by :func:`_chain_progress`), resumable across a
+  server crash.
 * **Result cache** — a non-degraded result is cached under its content
   key; an identical submission is admitted straight to ``done``
   (``cache_hit``) with the same bytes, and a corrupt entry is
@@ -72,7 +76,6 @@ from ..runtime.budget import (
 )
 from ..runtime.checkpoint import CheckpointWriteError
 from ..runtime.context import ExecutionContext
-from ..runtime.parallel import close_shared_pools
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import (
     SupervisedCrash,
@@ -96,8 +99,9 @@ class FileCancelToken(CancellationToken):
     In-memory tokens cannot cross a fork: the parent setting its event
     after ``fork()`` is invisible to the child.  The job store's cancel
     marker *is* visible to both, so the child polls it at every
-    ``ctx.step`` boundary (pass/level/iteration — cheap relative to the
-    work between boundaries) and raises
+    ``ctx.step`` boundary and beat (at most every
+    :data:`~repro.runtime.context.BEAT_SECONDS` of work — cheap relative
+    to the work in between) and raises
     :class:`~repro.runtime.OperationCancelled` exactly like an
     in-process token would.
     """
@@ -156,13 +160,16 @@ def _apply_test_hooks(ctx: Optional[ExecutionContext],
                       values: Dict[str, Any]) -> Optional[ExecutionContext]:
     """The job-only test hooks, chained after the context's progress hook.
 
-    ``pass_delay`` sleeps that many seconds at every ``ctx.step``: it
-    stretches a job's wall-clock without touching its output, which is
-    how the chaos harness guarantees the server dies *mid-job*.
-    ``kill_at_step`` SIGKILLs the worker child at its N-th ``ctx.step``,
-    so every supervised attempt dies at the same point (the poison
-    quarantine proof needs a job that *always* crashes); it is ignored
-    outside a forked worker child, so it can never kill the server.
+    Both act at every call of that hook: every ``ctx.step`` and every
+    beat of a ticking loop (a fit's nodes or iterations, a counting
+    scan), so they reach every job kind.  ``pass_delay`` sleeps that
+    many seconds there: it stretches a job's wall-clock without touching
+    its output, which is how the chaos harness guarantees the server
+    dies *mid-job*.  ``kill_at_step`` SIGKILLs the job's child at its
+    N-th step or beat, so every supervised attempt dies at the same
+    point (the poison quarantine proof needs a job that *always*
+    crashes); it is ignored outside a forked child, so it can never kill
+    the server.
     """
     delay, step = values["pass_delay"], values["kill_at_step"]
     if ctx is None:
@@ -250,17 +257,21 @@ class Scheduler:
         :class:`~repro.server.quotas.QuotaPolicy`; admission is checked
         in :meth:`submit`, the per-tenant running-job gate at dispatch.
     workers:
-        Worker threads (each runs at most one job at a time; supervised
-        jobs fork, so the actual mining happens in child processes).
+        Worker threads (each runs at most one job at a time; every job
+        forks, so the actual mining happens in child processes).
     max_retries:
         Crash-retry allowance per dispatch, fed to the
         :class:`~repro.runtime.RetryPolicy` that relaunches supervised
         children with exponential backoff.
     lease_timeout:
         Seconds a running job's lease may go unrefreshed before the
-        reaper reclaims it.  Heartbeats land at every ``ctx.step``, so
-        this bounds the tolerated gap between pass boundaries of a
-        healthy job — keep it generous (default 30 s); tests shrink it.
+        reaper reclaims it.  Heartbeats land at every ``ctx.step`` and
+        at every beat of a ticking loop, at most
+        :data:`~repro.runtime.context.BEAT_SECONDS` of work apart, so
+        this bounds the tolerated gap between beats of a healthy job
+        (one unit of work: a tree node, a clustering iteration, a block
+        of transactions) — keep it generous (default 30 s); tests shrink
+        it.
     max_failures:
         Dead-letter cap: a job whose ``failures.json`` grows past this
         many entries (crashed attempts, lease expiries, boot
@@ -354,11 +365,6 @@ class Scheduler:
         if self._reaper is not None:
             self._reaper.join(max(0.0, deadline - time.monotonic()))
             self._reaper = None
-        # In-thread (non-supervisable) jobs run their parallel regions
-        # through the process-wide shared pools, which stay warm across
-        # jobs by design; a stopped scheduler has no more jobs, so reap
-        # the pooled workers now rather than at interpreter exit.
-        close_shared_pools()
 
     def drain(self, grace: float = 10.0) -> bool:
         """Flip to draining and stop running jobs at a checkpoint.
@@ -772,8 +778,9 @@ class Scheduler:
         """Reclaim running jobs whose lease went stale.
 
         A job with a live :class:`_ActiveJob` has a wedged child (the
-        heartbeat rides ``ctx.step``): its supervisor is told to stop
-        and the owning worker thread handles the requeue-or-poison.  A
+        heartbeat rides ``ctx.step`` and the beats): its supervisor is
+        told to stop and the owning worker thread handles the
+        requeue-or-poison.  A
         running record with *no* active handle is an orphan — a worker
         thread that died, or a record inherited from a dead process —
         and is reclaimed directly.
@@ -812,7 +819,7 @@ class Scheduler:
         appender = store.event_appender(job_id)
 
         def record_progress(phase, info):
-            # Runs inside the forked child at every ctx.step: the lease
+            # Runs inside the forked child at every step and beat: the lease
             # file is the only liveness channel that crosses the fork,
             # and the event log rides the same boundary.  The appender
             # is deliberately created unprimed here (pre-fork): each
@@ -827,30 +834,28 @@ class Scheduler:
             cancel_token=FileCancelToken(store.cancel_path(job_id)),
             on_progress=record_progress,
         )
+        checkpoint: Dict[str, Any] = {}
+        if spec.capabilities.checkpointable:
+            checkpoint = {
+                "checkpoint_dir": str(store.checkpoint_dir(job_id)),
+                "checkpoint_every": values["checkpoint_every"],
+            }
+        supervisor = Supervisor(
+            retry=self._retry_policy(),
+            **checkpoint,
+            resume=True,
+            scratch_dir=str(store.scratch_dir(job_id)),
+            stop_event=active.stop_event if active is not None else None,
+        )
         args = (record.kind, record.dataset, record.algorithm, record.params)
-        if spec.capabilities.supervisable:
-            checkpoint: Dict[str, Any] = {}
-            if spec.capabilities.checkpointable:
-                checkpoint = {
-                    "checkpoint_dir": str(store.checkpoint_dir(job_id)),
-                    "checkpoint_every": values["checkpoint_every"],
-                }
-            supervisor = Supervisor(
-                retry=self._retry_policy(),
-                **checkpoint,
-                resume=True,
-                scratch_dir=str(store.scratch_dir(job_id)),
-                stop_event=active.stop_event if active is not None else None,
-            )
-            try:
-                outcome = supervisor.run(execute_job, *args, ctx=ctx)
-            except SupervisedCrash as exc:
-                # Every attempt's post-mortem, not just the last one:
-                # the poison ledger wants the full history.
-                exc.all_reports = list(supervisor.reports_)
-                raise
-            return outcome.value
-        return self._retry_policy().run(execute_job, *args, ctx=ctx)
+        try:
+            outcome = supervisor.run(execute_job, *args, ctx=ctx)
+        except SupervisedCrash as exc:
+            # Every attempt's post-mortem, not just the last one:
+            # the poison ledger wants the full history.
+            exc.all_reports = list(supervisor.reports_)
+            raise
+        return outcome.value
 
 
 __all__ = [

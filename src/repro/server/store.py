@@ -42,7 +42,7 @@ Two robustness planes added by the lease/poison layer:
 
 * **Leases** — a ``lease`` marker file per running job, touched by the
   worker at dispatch and by the forked child at every ``ctx.step``
-  boundary.  :meth:`JobStore.lease_age` is what the scheduler's reaper
+  boundary and beat.  :meth:`JobStore.lease_age` is what the scheduler's reaper
   polls: a running job whose lease has gone stale has lost its worker
   (wedged thread, hard-killed process) and is reclaimed.
 * **Dead letters** — ``failures.json`` per job accumulates one entry

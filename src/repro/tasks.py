@@ -13,7 +13,6 @@ report.  :func:`run` imports what it uses on first call, and
 from __future__ import annotations
 
 import importlib
-import time
 from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from . import registry
@@ -240,9 +239,11 @@ class MineResult(NamedTuple):
         """The job's JSON: itemsets, and rules when ``min_confidence``
         was given; beats the job's lease while it builds them."""
         from .associations.rules import generate_rules
+        from .runtime.context import ExecutionContext
 
         itemsets = self.itemsets
-        _pulse(ctx, "finalize", n_itemsets=len(itemsets))
+        ctx = ctx or ExecutionContext()
+        ctx.pulse("finalize", n_itemsets=len(itemsets))
         payload: Dict[str, Any] = {
             "kind": "mine",
             "algorithm": self.algorithm,
@@ -259,10 +260,10 @@ class MineResult(NamedTuple):
         }
         min_confidence = self.values["min_confidence"]
         if min_confidence is not None:
-            _pulse(ctx, "rules")
+            ctx.pulse("rules")
             rules = generate_rules(_BeatingItemsets(itemsets, ctx),
                                    min_confidence)
-            _pulse(ctx, "finalize", n_rules=len(rules))
+            ctx.pulse("finalize", n_rules=len(rules))
             payload["min_confidence"] = min_confidence
             payload["rules"] = [
                 {"antecedent": [int(i) for i in rule.antecedent],
@@ -383,34 +384,16 @@ class ClusterResult(NamedTuple):
         return "\n".join(lines)
 
 
-def _pulse(ctx, phase: str, **info: Any) -> None:
-    """A liveness beat after the last ``ctx.step``, so that a long
-    finalize does not let the job's lease expire.  Not ``ctx.step``:
-    a truncated run must still serialize its result, so the budget is
-    not consulted; cancellation still applies."""
-    if ctx is None:
-        return
-    ctx.raise_if_cancelled()
-    if ctx.on_progress is not None:
-        ctx.on_progress(phase, dict(info))
-
-
-#: longest stretch of finalize work between two liveness beats
-_BEAT_SECONDS = 0.5
-
-
 def _beating(items, ctx, phase: str):
-    """Yield ``items``, with a :func:`_pulse` after every ``_BEAT_SECONDS``
-    of work: rule generation and the result dicts each take seconds on
+    """Yield ``items``, beating ``ctx`` (:meth:`ExecutionContext.beat`)
+    between them, so that a long finalize does not let the job's lease
+    expire: rule generation and the result dicts each take seconds on
     a dense mine (2.2 s and 0.85 s for 108,512 rules, one core of an
-    idle 2-CPU x86-64 host).  Beating by time keeps the event log
-    short; the clock restarts after a beat, so a progress hook that
-    sleeps (``pass_delay``) does not make every later item beat."""
-    last = time.monotonic()
+    idle 2-CPU x86-64 host).  A beat, not a ``ctx.step``: a truncated
+    run must still serialize its result, so the budget is not
+    consulted; cancellation still applies."""
     for done, item in enumerate(items):
-        if time.monotonic() - last >= _BEAT_SECONDS:
-            _pulse(ctx, phase, done=done)
-            last = time.monotonic()
+        ctx.beat(phase, done=done)
         yield item
 
 

@@ -9,7 +9,6 @@ from repro.runtime import (
     CancellationToken,
     IterationBudgetExceeded,
     OperationCancelled,
-    ProgressEvent,
     SlowPass,
     SpaceBudgetExceeded,
     TimeBudgetExceeded,
@@ -132,23 +131,6 @@ class TestCancellation:
         assert token.reason == "first"
         with pytest.raises(OperationCancelled):
             token.raise_if_cancelled()
-
-
-class TestProgress:
-    def test_progress_events_delivered(self):
-        events = []
-        clock = VirtualClock()
-        budget = Budget(on_progress=events.append, clock=clock)
-        budget.progress("pass-1", n_candidates=10)
-        clock.advance(2.0)
-        budget.progress("pass-2", n_candidates=3)
-        assert [e.phase for e in events] == ["pass-1", "pass-2"]
-        assert events[0].info == {"n_candidates": 10}
-        assert events[1].elapsed == pytest.approx(2.0)
-        assert isinstance(events[0], ProgressEvent)
-
-    def test_no_callback_is_silent(self):
-        Budget().progress("pass-1", anything=1)  # must not raise
 
 
 class TestFaults:

@@ -11,7 +11,9 @@ algorithm in these contracts —
   byte-identical to the bare call;
 * **context cancellation**: a pre-cancelled
   :class:`~repro.runtime.CancellationToken` on the context surfaces as
-  :class:`~repro.runtime.OperationCancelled` from every algorithm;
+  :class:`~repro.runtime.OperationCancelled` from every algorithm, and
+  a token cancelled mid-run by the progress hook stops every budgeted
+  algorithm at its next beat;
 * **policy validation**: an ``on_exhausted`` value outside the declared
   ``degradation_policies`` is rejected, and the declared set is one of
   the shared vocabularies;
@@ -27,13 +29,14 @@ import pytest
 
 from repro import registry
 from repro.core.exceptions import ValidationError
-from repro.datasets import gaussian_blobs, play_tennis
+from repro.datasets import agrawal, gaussian_blobs, play_tennis
 from repro.runtime import (
     Budget,
     CancellationToken,
     Checkpointer,
     OperationCancelled,
 )
+from repro.runtime import context
 from repro.runtime.context import (
     BASIC_POLICIES,
     LEVELWISE_POLICIES,
@@ -61,7 +64,9 @@ def workloads(small_db, small_seq_db):
     return {
         "associations": small_db,
         "sequences": small_seq_db,
+        "min_support": 0.4,
         "table": play_tennis(),
+        "target": "play",
         "X": X,
     }
 
@@ -70,11 +75,12 @@ def _run(spec, w, ctx=None, **kwargs):
     """Invoke one registered algorithm on its family's toy workload and
     return a comparable result (supports dict / label tuple)."""
     if spec.family in ("associations", "sequences"):
-        result = spec.factory(w[spec.family], 0.4, ctx=ctx, **kwargs)
+        result = spec.factory(w[spec.family], w["min_support"], ctx=ctx,
+                              **kwargs)
         return dict(result.supports)
     if spec.family == "classification":
         model = spec.factory(ctx=ctx, **kwargs)
-        model.fit(w["table"], "play")
+        model.fit(w["table"], w["target"])
         return tuple(model.predict(w["table"]))
     model = spec.make(ctx, k=3, eps=1.5, min_samples=3, seed=0, **kwargs)
     model.fit(w["X"])
@@ -98,13 +104,6 @@ class TestRegistryTable:
         for spec in POLICY_SPECS:
             assert spec.capabilities.degradation_policies in (
                 BASIC_POLICIES, LEVELWISE_POLICIES), _spec_id(spec)
-
-    def test_checkpointable_without_supervisable_is_impossible(self):
-        # A checkpoint-resumable algorithm is by construction safe to
-        # relaunch, so the capability pair must be consistent.
-        for spec in ALL_SPECS:
-            if spec.capabilities.checkpointable:
-                assert spec.capabilities.supervisable, _spec_id(spec)
 
     def test_render_table_lists_every_algorithm(self):
         table = registry.render_table()
@@ -179,6 +178,45 @@ class TestEveryAlgorithm:
         ctx = ExecutionContext(cancel_token=token)
         with pytest.raises(OperationCancelled):
             _run(spec, workloads, ctx=ctx)
+
+
+BUDGETED_SPECS = [s for s in ALL_SPECS if s.capabilities.budget_resource]
+
+
+@pytest.fixture
+def mid_run_workloads(medium_db, medium_seq_db):
+    """Workloads with many loop units per run: passes, tree nodes,
+    optimisation steps, points."""
+    X = np.random.default_rng(7).uniform(0.0, 10.0, size=(150, 2))
+    return {
+        "associations": medium_db,
+        "sequences": medium_seq_db,
+        "min_support": 0.1,
+        "table": agrawal(300, function=2, random_state=4),
+        "target": "group",
+        "X": X,
+    }
+
+
+@pytest.mark.parametrize("spec", BUDGETED_SPECS, ids=_spec_id)
+def test_cancellation_mid_run_stops_at_the_next_beat(
+        spec, mid_run_workloads, monkeypatch):
+    # Every loop that checks a budget ticks its context, budget or not;
+    # with the beat interval at 0 every tick beats, so a token the
+    # progress hook cancels stops the run at its next tick or step.
+    monkeypatch.setattr(context, "BEAT_SECONDS", 0, raising=False)
+    token = CancellationToken()
+    beats = []
+
+    def cancel_on_first_beat(phase, info):
+        beats.append(phase)
+        token.cancel("cancelled mid-run")
+
+    ctx = ExecutionContext(cancel_token=token,
+                           on_progress=cancel_on_first_beat)
+    with pytest.raises(OperationCancelled):
+        _run(spec, mid_run_workloads, ctx=ctx)
+    assert len(beats) == 1, beats
 
 
 @pytest.mark.parametrize("spec", POLICY_SPECS, ids=_spec_id)

@@ -5,7 +5,8 @@ The scheduler-level tests exercise :meth:`Scheduler.drain` directly;
 the slow subprocess test drives the real ``repro serve`` process with
 SIGTERM mid-job and pins the acceptance criteria: exit code 0, the job
 re-enqueued durably, and a restarted server finishing it with bytes
-identical to an undisturbed run.
+identical to an undisturbed run -- for a checkpointed mine job and for
+an agglomerative fit, which reruns from the start.
 """
 
 import json
@@ -49,11 +50,12 @@ def _wait_terminal(store, job_id, deadline=DEADLINE):
     return store.get(job_id)
 
 
-def _reference_bytes(dataset):
-    params = {k: v for k, v in SLOW_PARAMS.items()
+def _reference_bytes(dataset, kind="mine", algorithm="apriori",
+                     params=SLOW_PARAMS):
+    params = {k: v for k, v in params.items()
               if k not in ("pass_delay", "checkpoint_every")}
     return canonical_result_bytes(
-        execute_job("mine", dataset, "apriori", params)
+        execute_job(kind, dataset, algorithm, params)
     )
 
 
@@ -207,18 +209,30 @@ def _request(port, method, path, body=None):
         return response.status, json.loads(response.read())
 
 
+#: the SIGTERM jobs: a checkpointed mine job, and a fit that beats (each
+#: beat sleeps ``pass_delay``) and reruns from the start
+SIGTERM_JOBS = {
+    "mine": ("mine", "apriori", "basket_path", SLOW_PARAMS),
+    "agglomerative": ("cluster", "agglomerative", "agglomerative_path",
+                      {"pass_delay": 0.5}),
+}
+
+
 @pytest.mark.slow
 class TestServeSigterm:
+    @pytest.mark.parametrize("job", sorted(SIGTERM_JOBS))
     def test_sigterm_mid_job_drains_exits_zero_and_restart_is_byte_identical(
-        self, tmp_path, basket_path
+        self, tmp_path, request, job
     ):
+        kind, algorithm, fixture, params = SIGTERM_JOBS[job]
+        dataset = request.getfixturevalue(fixture)
         store_root = tmp_path / "store"
         proc, port = _start_server(store_root)
         try:
             _status, record = _request(
                 port, "POST", "/jobs",
-                {"kind": "mine", "algorithm": "apriori",
-                 "dataset": basket_path, "params": dict(SLOW_PARAMS)},
+                {"kind": kind, "algorithm": algorithm,
+                 "dataset": dataset, "params": dict(params)},
             )
             job_id = record["job_id"]
             store = JobStore(store_root)
@@ -245,7 +259,7 @@ class TestServeSigterm:
             final = store.get(job_id)
             assert final.state == "done", final.error
             assert store.read_result_bytes(job_id) == \
-                _reference_bytes(basket_path)
+                _reference_bytes(dataset, kind, algorithm, params)
             _status, payload = _request(port2, "GET", "/healthz")
             assert payload["jobs"]["done"] >= 1
         finally:

@@ -365,16 +365,21 @@ class TestSupervisedCLI:
                      "--hard-time-limit", "5"]) == 2
         assert "--supervise" in capsys.readouterr().err
 
-    def test_supervise_rejects_non_checkpointable_miner(self, basket_file,
-                                                        capsys):
-        assert main(["mine", str(basket_file), "--miner", "fp_growth",
-                     "--supervise"]) == 2
-        err = capsys.readouterr().err
-        assert "fp_growth" in err
-        assert err.count("\n") == 1  # one-line message, not a traceback
+    def test_supervised_fp_growth_output_matches_unsupervised(
+            self, basket_file, capsys):
+        # Every algorithm runs supervised: one without checkpoints
+        # reruns from the start after a crash.
+        base = ["mine", str(basket_file), "--miner", "fp_growth",
+                "--min-support", "0.05"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--supervise"]) == 0
+        assert capsys.readouterr().out == plain
 
-    def test_supervise_rejects_non_checkpointable_clusterer(self, blobs_file,
-                                                            capsys):
-        assert main(["cluster", str(blobs_file), "--algorithm", "dbscan",
-                     "--supervise"]) == 2
-        assert "dbscan" in capsys.readouterr().err
+    def test_supervised_dbscan_output_matches_unsupervised(self, blobs_file,
+                                                           capsys):
+        base = ["cluster", str(blobs_file), "--algorithm", "dbscan"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--supervise"]) == 0
+        assert capsys.readouterr().out == plain

@@ -105,6 +105,10 @@ CLI_CASES.update({
     "classify-supervise": ["classify", CREDIT, "--target", "group",
                            "--supervise"],
     "cluster-supervise": ["cluster", BLOBS, "--supervise"],
+    "mine-fp_growth-supervise": ["mine", BASKET, "--miner", "fp_growth",
+                                 "--supervise"],
+    "cluster-dbscan-supervise": ["cluster", BLOBS, "--algorithm", "dbscan",
+                                 "--supervise"],
     "classify-c45-budget": ["classify", CREDIT, "--target", "group",
                             "--max-candidates", "5"],
     "cluster-pam-budget": ["cluster", BLOBS, "--algorithm", "pam",
@@ -127,10 +131,6 @@ CLI_CASES.update({
                                         "100"],
     "usage-hard-time-without-supervise": ["cluster", BLOBS,
                                           "--hard-time-limit", "5"],
-    "usage-mine-supervise": ["mine", BASKET, "--miner", "fp_growth",
-                             "--supervise"],
-    "usage-cluster-supervise": ["cluster", BLOBS, "--algorithm", "dbscan",
-                                "--supervise"],
     "usage-classify-time-limit": ["classify", CREDIT, "--target", "group",
                                   "--classifier", "nb", "--time-limit", "5"],
     "usage-classify-max-candidates": ["classify", CREDIT, "--target", "group",
@@ -147,11 +147,11 @@ CLI_CASES.update({
 CLI_EXPECTED = {
     "algorithms": [
         0,
-        "415c8c93e487453b34ad04547b2ebf90ea1860b6c6513327b81dd412cb52c046",
+        "295e2db71576bf02d5fa619b4e1af1eb000a03fd665fba25e47e603dac06ed9a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
     "algorithms-json": [
         0,
-        "b33189d5eb274f244474eaf244709083953bde114615cdb1d4025c705eb7cea9",
+        "0558f992fb36abbb739eb4b936f555e7b4fc13ba5f2d1bef6ba8ed9973f3c2a9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
     "budget-exhausted": [
         0,
@@ -221,6 +221,10 @@ CLI_EXPECTED = {
         0,
         "5d021a3422bfbcb1fec403565d5ff83461394a351426d9cfef5ad94c83299710",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "cluster-dbscan-supervise": [
+        0,
+        "a639c1390354eda7f144486d9ad73748d124f52387b607b47b7288042d0bd7c2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
     "cluster-jobs-2": [
         0,
         "2584196dcbaf2857876929025c33c1f1032fa6fd2c9e206bebb4e480ddb47f8f",
@@ -285,6 +289,10 @@ CLI_EXPECTED = {
         0,
         "3ef17bc87cc1a51cfedf27cddb3924b4c278105349e233c23625d3e587808dad",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "mine-fp_growth-supervise": [
+        0,
+        "3ef17bc87cc1a51cfedf27cddb3924b4c278105349e233c23625d3e587808dad",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
     "mine-jobs-2": [
         0,
         "3ef17bc87cc1a51cfedf27cddb3924b4c278105349e233c23625d3e587808dad",
@@ -329,10 +337,6 @@ CLI_EXPECTED = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "d92f97ad8df4bd9652804c19bb18e11c1adb0802d69458fb43b93ec5cc12dc17"],
-    "usage-cluster-supervise": [
-        2,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "5fce3caa16f63a78e41abdaee31434d3e86a74149b5f8383b45891247c5bb80c"],
     "usage-hard-time-without-supervise": [
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -353,10 +357,6 @@ CLI_EXPECTED = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "d0a3fbc8b1126f333691f77bdd1e9fa1b975e7601d40d1c6fbbbc74c56d23b0a"],
-    "usage-mine-supervise": [
-        2,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "3a0a4155ee5e9c47bf1c477e9e69dce295a927f25474942c9ada08ee02d97613"],
     "usage-resume-without-dir": [
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
